@@ -98,17 +98,38 @@ def growth_curve(dataset: TokenizedDataset, checkpoints: CheckpointPolicy = "pow
     ``"all"`` (every position), or an explicit iterable of positions
     (values beyond the stream are dropped).
     """
-    stream = dataset.token_stream()
-    total = int(stream.size)
-    positions = _resolve_checkpoints(checkpoints, total)
+    positions = _resolve_checkpoints(checkpoints, dataset.total_tokens)
     if not positions:
         return GrowthCurve((), dataset.vocab_size)
-    first_seen = np.zeros(total, dtype=np.int64)
-    _, first_idx = np.unique(stream, return_index=True)
-    first_seen[first_idx] = 1
-    cumulative = np.cumsum(first_seen)
-    points = tuple((n, int(cumulative[n - 1])) for n in positions)
-    return GrowthCurve(points, dataset.vocab_size)
+    first = _first_positions(dataset.tokens, dataset.vocab_size)
+    # Ids seen within the first n tokens are those whose first position is below n.
+    counts = np.searchsorted(first, positions).tolist()
+    return GrowthCurve(tuple(zip(positions, counts)), dataset.vocab_size)
+
+
+_SCAN_CHUNK = 1 << 16
+
+
+def _first_positions(stream: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Stream position of each distinct id's first occurrence, ascending.
+
+    One pass over fixed-size chunks with a ``seen`` mask over the
+    vocabulary. Only the not-yet-seen ids of a chunk are sorted, to keep
+    the earliest of a repeated new id, so past the first chunks the pass
+    is linear in the stream; it never sorts the whole stream.
+    """
+    seen = np.zeros(vocab_size, dtype=bool)
+    found = []
+    for start in range(0, stream.size, _SCAN_CHUNK):
+        chunk = stream[start:start + _SCAN_CHUNK]
+        new = np.flatnonzero(~seen[chunk])
+        if new.size:
+            ids = chunk[new]
+            _, first = np.unique(ids, return_index=True)
+            first.sort()
+            seen[ids] = True
+            found.append(new[first] + start)
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
 def fit_heaps(curve: GrowthCurve | Iterable[tuple[int, int]]) -> HeapsFit:

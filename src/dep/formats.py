@@ -33,6 +33,7 @@ bytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import BinaryIO
@@ -45,11 +46,12 @@ from .errors import (
     BadMagic,
     FormatError,
     InconsistentInputs,
+    OutOfRangeToken,
     RemapInconsistent,
     UnsupportedVersion,
 )
 from .metrics import ModelConfig, PruneReport
-from .vocab import RemapOrdering, RemapTable, TokenizedDataset
+from .vocab import TOKEN_DTYPE, RemapOrdering, RemapTable, TokenizedDataset, _locate
 
 DATASET_MAGIC = b"DEPT"
 EMBEDDINGS_MAGIC = b"DEPE"
@@ -58,7 +60,8 @@ DTYPE_FLOAT32 = 1
 
 _DATASET_HEADER = struct.Struct("<4sIQQ")
 _EMBEDDINGS_HEADER = struct.Struct("<4sIBQQ")
-_U32 = struct.Struct("<I")
+_MAX_VOCAB_SIZE = 2**32  # ids are u32
+_WRITE_CHUNK_WORDS = 1 << 20  # bounds the writer's temporaries
 
 
 def _read_exact(handle: BinaryIO, size: int, what: str) -> bytes:
@@ -73,16 +76,33 @@ def _check_trailing(handle: BinaryIO) -> None:
         raise FormatError("trailing data after declared content")
 
 
+def _check_vocab_size(vocab_size: int) -> None:
+    # Counting allocates one slot per id, so an outside vocab_size is capped first.
+    if vocab_size > _MAX_VOCAB_SIZE:
+        raise FormatError(f"vocab_size {vocab_size} exceeds the u32 id range ({_MAX_VOCAB_SIZE})")
+
+
 def write_dataset_binary(dataset: TokenizedDataset, path) -> None:
+    tokens, offsets = dataset.tokens, dataset.offsets
+    # Body word index of each sequence's length word; the last entry is the body size.
+    starts = offsets + np.arange(offsets.size)
     with open(path, "wb") as handle:
         handle.write(
             _DATASET_HEADER.pack(
                 DATASET_MAGIC, FORMAT_VERSION, dataset.vocab_size, dataset.num_sequences
             )
         )
-        for seq in dataset.sequences:
-            handle.write(_U32.pack(seq.size))
-            handle.write(seq.astype("<u4").tobytes())
+        i, n = 0, dataset.num_sequences
+        while i < n:
+            # Whole sequences, at most _WRITE_CHUNK_WORDS words unless one sequence is longer.
+            j = max(i + 1, int(np.searchsorted(starts, starts[i] + _WRITE_CHUNK_WORDS, "right")) - 1)
+            words = np.empty(int(starts[j] - starts[i]), dtype="<u4")
+            is_length = np.zeros(words.size, dtype=bool)
+            is_length[starts[i:j] - starts[i]] = True
+            words[is_length] = np.diff(offsets[i:j + 1])
+            words[~is_length] = tokens[offsets[i]:offsets[j]]
+            handle.write(memoryview(words))
+            i = j
 
 
 def read_dataset_binary(path) -> TokenizedDataset:
@@ -93,35 +113,62 @@ def read_dataset_binary(path) -> TokenizedDataset:
             raise BadMagic(DATASET_MAGIC, magic)
         if version != FORMAT_VERSION:
             raise UnsupportedVersion(version, FORMAT_VERSION)
-        sequences = []
-        for _ in range(num_sequences):
-            (length,) = _U32.unpack(_read_exact(handle, _U32.size, "sequence length"))
-            payload = _read_exact(handle, 4 * length, "sequence ids")
-            sequences.append(np.frombuffer(payload, dtype="<u4"))
-        _check_trailing(handle)
-    return TokenizedDataset(tuple(sequences), int(vocab_size))
+        _check_vocab_size(vocab_size)
+        body_bytes = os.fstat(handle.fileno()).st_size - _DATASET_HEADER.size
+        body = np.fromfile(handle, dtype="<u4").astype(TOKEN_DTYPE, copy=False)
+    if num_sequences > body.size:
+        raise FormatError(
+            f"header declares {num_sequences} sequences but the body holds only {body.size} words"
+        )
+    # Walk the length words: sequence i's length is body word length_at[i].
+    length_at = np.empty(num_sequences, dtype=np.int64)
+    words, starts = memoryview(body), memoryview(length_at)
+    pos = 0
+    try:
+        for i in range(num_sequences):
+            starts[i] = pos
+            pos += words[pos] + 1
+    except IndexError:
+        raise FormatError(f"unexpected end of file while reading sequence {i} length") from None
+    if pos > body.size:
+        raise FormatError(f"unexpected end of file while reading sequence {num_sequences - 1} ids")
+    if pos < body.size or body_bytes % 4:
+        raise FormatError("trailing data after declared content")
+    offsets = np.zeros(num_sequences + 1, dtype=np.int64)
+    np.cumsum(body[length_at], dtype=np.int64, out=offsets[1:])
+    is_token = np.ones(body.size, dtype=bool)
+    is_token[length_at] = False
+    return TokenizedDataset.from_flat(body[is_token], offsets, int(vocab_size))
 
 
 def write_dataset_text(dataset: TokenizedDataset, path) -> None:
-    lines = [" ".join(str(int(t)) for t in seq) for seq in dataset.sequences]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    lines = [" ".join(map(str, ids)) + "\n" for ids in dataset.to_lists()]
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    sequences = []
-    max_id = -1
+    ids: list[int] = []
+    lengths = []
     for line_no, line in enumerate(lines, start=1):
+        fields = line.split()
         try:
-            ids = [int(field) for field in line.split()]
+            ids.extend(map(int, fields))
         except ValueError:
             raise FormatError(f"line {line_no}: token ids must be decimal integers") from None
-        if ids:
-            max_id = max(max_id, max(ids))
-        sequences.append(ids)
+        lengths.append(len(fields))
+    lo, hi = (min(ids), max(ids)) if ids else (0, -1)
     if vocab_size is None:
-        vocab_size = max_id + 1 if max_id >= 0 else 0
-    return TokenizedDataset(tuple(sequences), vocab_size)
+        vocab_size = max(hi + 1, 0)
+    _check_vocab_size(vocab_size)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(lengths, dtype=np.int64)
+    # Range-check in Python so the list converts straight to uint32.
+    if lo < 0 or hi >= vocab_size:
+        flat_pos = next(k for k, t in enumerate(ids) if t < 0 or t >= vocab_size)
+        seq, pos = _locate(offsets, flat_pos)
+        raise OutOfRangeToken(seq, pos, ids[flat_pos], vocab_size)
+    return TokenizedDataset.from_flat(np.array(ids, dtype=TOKEN_DTYPE), offsets, vocab_size)
 
 
 def write_dataset(dataset: TokenizedDataset, path) -> None:
@@ -156,7 +203,7 @@ def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
                 EMBEDDINGS_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, matrix.rows, matrix.dim
             )
         )
-        handle.write(matrix.data.astype("<f4").tobytes())
+        handle.write(memoryview(np.ascontiguousarray(matrix.data, dtype="<f4")))
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
@@ -169,7 +216,15 @@ def read_embeddings(path) -> EmbeddingMatrix:
             raise UnsupportedVersion(version, FORMAT_VERSION)
         if dtype_code != DTYPE_FLOAT32:
             raise FormatError(f"unsupported dtype code {dtype_code}")
-        payload = _read_exact(handle, 4 * rows * cols, "embedding payload")
+        if cols < 1:
+            raise FormatError(f"embedding dim must be >= 1, got {cols}")
+        payload_size = 4 * rows * cols
+        available = os.fstat(handle.fileno()).st_size - _EMBEDDINGS_HEADER.size
+        if payload_size > available:
+            raise FormatError(
+                f"header declares a {rows} x {cols} matrix but the file holds only {available} payload bytes"
+            )
+        payload = _read_exact(handle, payload_size, "embedding payload")
         _check_trailing(handle)
     data = np.frombuffer(payload, dtype="<f4").reshape(int(rows), int(cols))
     return EmbeddingMatrix(data)

@@ -6,9 +6,16 @@ set of ids actually used is derived. A remap table then assigns each kept
 id a dense id in ``0..n_kept-1`` so datasets and embedding rows can be
 rewritten compactly and restored later.
 
+A dataset is stored flat, like an Arrow list array: one contiguous uint32
+``tokens`` array with every id in dataset order, plus an int64 ``offsets``
+array in which sequence ``i`` is ``tokens[offsets[i]:offsets[i + 1]]``.
+Validation, counting and remapping are whole-array numpy operations; a
+flat position is turned back into a (sequence, position) pair only to
+report an error.
+
 All types are immutable after construction (arrays are stored as read-only
 views) and safe to share between threads. Scanning may run concurrently
-over disjoint sequence partitions because partial counts merge by plain
+over disjoint token ranges because partial counts merge by plain
 elementwise addition.
 """
 
@@ -19,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +40,8 @@ from .errors import (
 TOKEN_DTYPE = np.uint32
 # 64-bit counts: corpora can exceed 2**32 tokens.
 COUNT_DTYPE = np.uint64
+# Forward-LUT entry of an id outside the remap domain; never below reduced_size.
+_UNMAPPED = np.iinfo(TOKEN_DTYPE).max
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -41,72 +50,128 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _to_token_array(seq, seq_index: int, vocab_size: int) -> np.ndarray:
-    arr = np.asarray(seq)
-    if arr.size == 0:
-        return _read_only(np.empty(0, dtype=TOKEN_DTYPE))
-    if arr.ndim != 1:
-        raise ValueError(f"sequence {seq_index} is not one-dimensional")
-    if arr.dtype.kind not in "iu":
-        raise TypeError(f"sequence {seq_index} has non-integer dtype {arr.dtype}")
-    if arr.dtype.kind == "i":
-        neg = np.flatnonzero(arr < 0)
-        if neg.size:
-            pos = int(neg[0])
-            raise OutOfRangeToken(seq_index, pos, int(arr[pos]), vocab_size)
-    bad = np.flatnonzero(arr >= vocab_size)
+def _locate(offsets: np.ndarray, flat_pos: int) -> tuple[int, int]:
+    """(sequence index, position in it) of a flat token position."""
+    seq = int(np.searchsorted(offsets, flat_pos, side="right")) - 1
+    return seq, flat_pos - int(offsets[seq])
+
+
+def _check_below(tokens: np.ndarray, offsets: np.ndarray, limit: int) -> None:
+    """Raise :class:`OutOfRangeToken` for the first id ``>= limit``."""
+    if tokens.size and int(tokens.max()) >= limit:
+        flat_pos = int(np.argmax(tokens >= limit))
+        seq, pos = _locate(offsets, flat_pos)
+        raise OutOfRangeToken(seq, pos, int(tokens[flat_pos]), limit)
+
+
+def _flatten(sequences, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    arrays = [np.asarray(seq) for seq in sequences]
+    for i, arr in enumerate(arrays):
+        if arr.size and arr.ndim != 1:
+            raise ValueError(f"sequence {i} is not one-dimensional")
+        if arr.size and arr.dtype.kind not in "iu":
+            raise TypeError(f"sequence {i} has non-integer dtype {arr.dtype}")
+    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([arr.size for arr in arrays], dtype=np.int64)
+    nonempty = [arr for arr in arrays if arr.size]
+    if not nonempty:
+        return np.empty(0, dtype=TOKEN_DTYPE), offsets
+    # An unsigned id of 2**63 or more wraps negative here and is still rejected;
+    # the error reports the caller's value.
+    flat = np.concatenate(nonempty, dtype=np.int64, casting="unsafe")
+    bad = np.flatnonzero((flat < 0) | (flat >= vocab_size))
     if bad.size:
-        pos = int(bad[0])
-        raise OutOfRangeToken(seq_index, pos, int(arr[pos]), vocab_size)
-    return _read_only(np.ascontiguousarray(arr, dtype=TOKEN_DTYPE))
+        seq, pos = _locate(offsets, int(bad[0]))
+        raise OutOfRangeToken(seq, pos, int(arrays[seq][pos]), vocab_size)
+    return flat.astype(TOKEN_DTYPE), offsets
 
 
-@dataclass(frozen=True, eq=False)
+def _check_layout(tokens: np.ndarray, offsets: np.ndarray) -> None:
+    if tokens.dtype != TOKEN_DTYPE or tokens.ndim != 1 or not tokens.flags.c_contiguous:
+        raise TypeError("tokens must be a contiguous one-dimensional uint32 array")
+    if offsets.dtype != np.int64 or offsets.ndim != 1 or offsets.size < 1:
+        raise TypeError("offsets must be a non-empty one-dimensional int64 array")
+    if offsets[0] != 0 or offsets[-1] != tokens.size or bool((offsets[1:] < offsets[:-1]).any()):
+        raise ValueError("offsets must rise from 0 to len(tokens) without decreasing")
+
+
+class _Flat(NamedTuple):
+    tokens: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class TokenizedDataset:
     """Ragged token id sequences over a declared vocabulary size.
 
-    ``sequences`` may be any iterable of integer sequences; they are
-    normalized to read-only uint32 arrays. Every id must be smaller than
-    ``vocab_size``: the first violation raises :class:`OutOfRangeToken`
-    carrying its sequence index and position.
+    Stored as two read-only arrays: ``tokens``, every id in dataset order
+    as contiguous uint32, and ``offsets``, int64 with ``num_sequences + 1``
+    entries, ``offsets[0] == 0``, ``offsets[-1] == tokens.size`` and never
+    decreasing. Sequence ``i`` is ``tokens[offsets[i]:offsets[i + 1]]``.
+    Every id is smaller than ``vocab_size``.
+
+    ``TokenizedDataset(sequences, vocab_size)`` copies any iterable of
+    one-dimensional integer sequences into this layout; :meth:`from_flat`
+    adopts arrays already in it. Either way the first id outside
+    ``[0, vocab_size)`` raises :class:`OutOfRangeToken` carrying its
+    sequence index and position.
     """
 
-    sequences: tuple[np.ndarray, ...]
+    tokens: np.ndarray
+    offsets: np.ndarray
     vocab_size: int
 
-    def __post_init__(self) -> None:
-        if self.vocab_size < 0:
+    def __init__(self, sequences, vocab_size: int):
+        if vocab_size < 0:
             raise ValueError("vocab_size must be non-negative")
-        seqs = tuple(
-            _to_token_array(seq, i, self.vocab_size)
-            for i, seq in enumerate(self.sequences)
-        )
-        object.__setattr__(self, "sequences", seqs)
+        if isinstance(sequences, _Flat):
+            tokens, offsets = sequences
+            _check_layout(tokens, offsets)
+            _check_below(tokens, offsets, vocab_size)
+        else:
+            tokens, offsets = _flatten(sequences, vocab_size)
+        object.__setattr__(self, "tokens", _read_only(tokens))
+        object.__setattr__(self, "offsets", _read_only(offsets))
+        object.__setattr__(self, "vocab_size", int(vocab_size))
+
+    @classmethod
+    def from_flat(cls, tokens: np.ndarray, offsets: np.ndarray, vocab_size: int) -> TokenizedDataset:
+        """Adopt uint32 ``tokens`` and int64 ``offsets`` without copying.
+
+        The layout and the id range are checked. The caller hands the
+        arrays over and must not modify them afterwards.
+        """
+        return cls(_Flat(tokens, offsets), vocab_size)
 
     @property
     def num_sequences(self) -> int:
-        return len(self.sequences)
+        return int(self.offsets.size) - 1
 
-    @cached_property
+    @property
     def total_tokens(self) -> int:
-        return int(sum(seq.size for seq in self.sequences))
+        return int(self.tokens.size)
+
+    @property
+    def sequences(self) -> tuple[np.ndarray, ...]:
+        """A read-only view of each sequence; whole-dataset code uses ``tokens``."""
+        bounds = self.offsets.tolist()
+        return tuple(self.tokens[a:b] for a, b in zip(bounds, bounds[1:]))
 
     def token_stream(self) -> np.ndarray:
-        """All ids concatenated in dataset order (sequence, then position)."""
-        if not self.sequences:
-            return np.empty(0, dtype=TOKEN_DTYPE)
-        return np.concatenate(self.sequences)
+        """All ids in dataset order (sequence, then position), read-only."""
+        return self.tokens
 
     def to_lists(self) -> list[list[int]]:
-        return [seq.tolist() for seq in self.sequences]
+        ids, bounds = self.tokens.tolist(), self.offsets.tolist()
+        return [ids[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def __eq__(self, other: object):
         if not isinstance(other, TokenizedDataset):
             return NotImplemented
         return (
             self.vocab_size == other.vocab_size
-            and len(self.sequences) == len(other.sequences)
-            and all(np.array_equal(a, b) for a, b in zip(self.sequences, other.sequences))
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.tokens, other.tokens)
         )
 
 
@@ -207,9 +272,10 @@ class RemapTable:
 
     @cached_property
     def _forward_lut(self) -> np.ndarray:
-        # Dense lookup table over the full original vocab; -1 marks unmapped ids.
-        lut = np.full(self.original_vocab_size, -1, dtype=np.int64)
-        lut[self.inverse] = np.arange(self.reduced_size, dtype=np.int64)
+        # Dense ids over the full original vocab, uint32 so a gather through it
+        # needs no wider temporary; unmapped ids hold _UNMAPPED.
+        lut = np.full(self.original_vocab_size, _UNMAPPED, dtype=TOKEN_DTYPE)
+        lut[self.inverse] = np.arange(self.reduced_size, dtype=TOKEN_DTYPE)
         return _read_only(lut)
 
     def __eq__(self, other: object):
@@ -223,21 +289,17 @@ class RemapTable:
         )
 
 
-def _count_ids(sequences: Sequence[np.ndarray], vocab_size: int) -> np.ndarray:
-    nonempty = [s for s in sequences if s.size]
-    if not nonempty:
-        return np.zeros(vocab_size, dtype=COUNT_DTYPE)
-    flat = np.concatenate(nonempty)
-    return np.bincount(flat, minlength=vocab_size).astype(COUNT_DTYPE)
+def _count_ids(tokens: np.ndarray, vocab_size: int) -> np.ndarray:
+    return np.bincount(tokens, minlength=vocab_size).astype(COUNT_DTYPE)
 
 
 def scan_dataset(dataset: TokenizedDataset) -> FrequencyTable:
     """Count occurrences of every vocabulary id across the whole dataset."""
-    return FrequencyTable(_count_ids(dataset.sequences, dataset.vocab_size))
+    return FrequencyTable(_count_ids(dataset.tokens, dataset.vocab_size))
 
 
 def scan_dataset_parallel(dataset: TokenizedDataset, partitions: int | None = None) -> FrequencyTable:
-    """Scan with the sequence list split into contiguous partitions.
+    """Scan with the token array split into contiguous ranges, counted on threads.
 
     The result is identical to :func:`scan_dataset` for every partition
     count: partial counts merge by elementwise addition, which is
@@ -247,35 +309,32 @@ def scan_dataset_parallel(dataset: TokenizedDataset, partitions: int | None = No
         partitions = os.cpu_count() or 1
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
-    if partitions == 1 or dataset.num_sequences <= 1:
+    tokens = dataset.tokens
+    if partitions == 1 or tokens.size <= 1:
         return scan_dataset(dataset)
-    chunks = _partition_sequences(dataset.sequences, partitions)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        partials = list(pool.map(_count_ids, chunks, [dataset.vocab_size] * len(chunks)))
+    bounds = [tokens.size * k // partitions for k in range(partitions + 1)]
+    chunks = [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(max_workers=min(partitions, os.cpu_count() or 1)) as pool:
+        partials = list(pool.map(_count_ids, chunks, [dataset.vocab_size] * partitions))
     total = np.zeros(dataset.vocab_size, dtype=COUNT_DTYPE)
     for part in partials:
         total += part
     return FrequencyTable(total)
 
 
-def _partition_sequences(sequences: tuple[np.ndarray, ...], parts: int) -> list[tuple[np.ndarray, ...]]:
-    base, extra = divmod(len(sequences), parts)
-    chunks, start = [], 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        chunks.append(sequences[start:start + size])
-        start += size
-    return chunks
-
-
 def split_dataset(dataset: TokenizedDataset, parts: int) -> list[TokenizedDataset]:
-    """Split into ``parts`` contiguous sub-datasets (some possibly empty)."""
+    """Split into ``parts`` runs of consecutive sequences (some possibly empty)."""
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    return [
-        TokenizedDataset(chunk, dataset.vocab_size)
-        for chunk in _partition_sequences(dataset.sequences, parts)
-    ]
+    base, extra = divmod(dataset.num_sequences, parts)
+    cuts = np.cumsum([0] + [base + (i < extra) for i in range(parts)]).tolist()
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        lo, hi = int(dataset.offsets[a]), int(dataset.offsets[b])
+        out.append(TokenizedDataset.from_flat(
+            dataset.tokens[lo:hi], dataset.offsets[a:b + 1] - lo, dataset.vocab_size
+        ))
+    return out
 
 
 def merge_frequency_tables(parts: Sequence[FrequencyTable]) -> FrequencyTable:
@@ -326,31 +385,29 @@ def apply_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDatase
     :class:`UnmappedToken`, which signals a remap built from a different
     corpus.
     """
-    lut = remap._forward_lut
-    out = []
-    for i, seq in enumerate(dataset.sequences):
-        if seq.size == 0:
-            out.append(seq)
-            continue
-        if int(seq.max()) >= lut.size:
-            pos = int(np.flatnonzero(seq >= lut.size)[0])
-            raise UnmappedToken(i, pos, int(seq[pos]))
-        mapped = lut[seq]
-        bad = np.flatnonzero(mapped < 0)
-        if bad.size:
-            pos = int(bad[0])
-            raise UnmappedToken(i, pos, int(seq[pos]))
-        out.append(mapped.astype(TOKEN_DTYPE))
-    return TokenizedDataset(tuple(out), remap.reduced_size)
+    tokens, lut, reduced = dataset.tokens, remap._forward_lut, remap.reduced_size
+    if tokens.size and int(tokens.max()) >= lut.size:
+        raise _unmapped(dataset, lut, reduced)
+    mapped = lut[tokens]
+    if mapped.size and int(mapped.max()) >= reduced:
+        raise _unmapped(dataset, lut, reduced)
+    return TokenizedDataset.from_flat(mapped, dataset.offsets, reduced)
+
+
+def _unmapped(dataset: TokenizedDataset, lut: np.ndarray, reduced: int) -> UnmappedToken:
+    """The error for the first id that ``lut`` does not map below ``reduced``."""
+    tokens = dataset.tokens
+    inside = tokens < lut.size
+    bad = ~inside
+    bad[inside] = lut[tokens[inside]] >= reduced
+    flat_pos = int(np.argmax(bad))
+    seq, pos = _locate(dataset.offsets, flat_pos)
+    return UnmappedToken(seq, pos, int(tokens[flat_pos]))
 
 
 def invert_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDataset:
     """Undo :func:`apply_remap` by substituting ``inverse[id]`` for each id."""
-    reduced = remap.reduced_size
-    out = []
-    for i, seq in enumerate(dataset.sequences):
-        if seq.size and int(seq.max()) >= reduced:
-            pos = int(np.flatnonzero(seq >= reduced)[0])
-            raise OutOfRangeToken(i, pos, int(seq[pos]), reduced)
-        out.append(remap.inverse[seq] if seq.size else seq)
-    return TokenizedDataset(tuple(out), remap.original_vocab_size)
+    _check_below(dataset.tokens, dataset.offsets, remap.reduced_size)
+    return TokenizedDataset.from_flat(
+        remap.inverse[dataset.tokens], dataset.offsets, remap.original_vocab_size
+    )

@@ -1,6 +1,7 @@
 """Growth curves, power-law fits, coverage, and unused-token detection."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dep import (
     growth_curve,
     scan_dataset,
 )
+from dep import analysis
 
 from _strategies import token_datasets
 
@@ -31,6 +33,15 @@ def replay_unique(stream, checkpoints):
         if position in checkpoints:
             out.append((position, len(seen)))
     return out
+
+
+def unique_reference(stream, positions):
+    """Prefix distinct counts from first occurrences found by sorting the whole stream."""
+    first_seen = np.zeros(stream.size, dtype=np.int64)
+    _, first_idx = np.unique(stream, return_index=True)
+    first_seen[first_idx] = 1
+    cumulative = np.cumsum(first_seen)
+    return [(n, int(cumulative[n - 1])) for n in positions]
 
 
 class TestGrowthCurve:
@@ -73,6 +84,24 @@ class TestGrowthCurve:
     def test_checkpoints_beyond_stream_dropped(self):
         curve = growth_curve(TokenizedDataset(([1, 2],), 4), checkpoints=[1, 50])
         assert curve.points == ((1, 1), (2, 2))
+
+    @given(
+        token_datasets(max_sequences=12, max_len=40),
+        st.sampled_from(["pow2", "all", "explicit"]),
+        st.integers(1, 17),
+    )
+    def test_matches_unique_reference(self, dataset, policy, chunk):
+        stream = dataset.token_stream()
+        explicit = range(1, stream.size + 1, 3)
+        checkpoints = list(explicit) if policy == "explicit" else policy
+        with mock.patch.object(analysis, "_SCAN_CHUNK", chunk):  # many chunk boundaries
+            curve = growth_curve(dataset, checkpoints=checkpoints)
+        positions = [n for n, _ in curve.points]
+        if policy == "all":
+            assert positions == list(range(1, stream.size + 1))
+        elif policy == "explicit" and stream.size:
+            assert positions == sorted(set(explicit) | {stream.size})
+        assert list(curve.points) == unique_reference(stream, positions)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior: artifacts, determinism, exit codes."""
 
 import json
+import struct
 import time
 from pathlib import Path
 
@@ -91,6 +92,36 @@ class TestAnalyze:
         assert run("analyze", "--dataset", path, "--out", out) == 0
         fit = json.loads((out / "stats.json").read_text())["heaps_fit"]
         assert fit is not None and fit["k"] > 0 and 0 <= fit["beta"] <= 1
+
+
+def _dept(vocab_size, num_sequences, body):
+    return struct.pack("<4sIQQ", b"DEPT", 1, vocab_size, num_sequences) + body
+
+
+class TestHostileHeaders:
+    """Sizes a header declares are checked before anything that large is allocated."""
+
+    @pytest.mark.parametrize("blob", [
+        pytest.param(_dept(2**40, 1, struct.pack("<II", 1, 0)), id="vocab-size-2^40"),
+        pytest.param(_dept(8, 2**40, struct.pack("<II", 1, 0)), id="num-sequences-2^40"),
+        pytest.param(_dept(8, 1, struct.pack("<III", 2**32 - 1, 1, 2)), id="length-2^32-1"),
+    ])
+    def test_dataset_header_exits_2(self, tmp_path, capsys, blob):
+        path = tmp_path / "hostile.dept"
+        path.write_bytes(blob)
+        assert run("analyze", "--dataset", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BAD_FORMAT: ") and len(err.strip()) > len("BAD_FORMAT:")
+
+    def test_embeddings_rows_2_40_exits_2(self, workspace, capsys):
+        tmp_path, _, _, _, matrix_path, _ = workspace
+        hostile = tmp_path / "hostile.depe"
+        hostile.write_bytes(struct.pack("<4sIBQQ", b"DEPE", 1, 1, 2**40, 2) + bytes(16))
+        code = run("restore", "--embeddings", matrix_path, "--learned", hostile,
+                   "--remap", tmp_path / "unused.json", "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BAD_FORMAT: ") and len(err.strip()) > len("BAD_FORMAT:")
 
 
 class TestPrune:

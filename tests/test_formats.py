@@ -1,8 +1,12 @@
 """File format round-trips and rejection of malformed inputs."""
 
+import struct
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from dep import (
     BadMagic,
@@ -22,6 +26,14 @@ from dep import (
 from dep import formats
 
 from _strategies import token_datasets
+
+
+def reference_dataset_bytes(dataset):
+    """The v1 layout written one sequence at a time."""
+    out = [struct.pack("<4sIQQ", b"DEPT", 1, dataset.vocab_size, dataset.num_sequences)]
+    for seq in dataset.to_lists():
+        out.append(struct.pack(f"<I{len(seq)}I", len(seq), *seq))
+    return b"".join(out)
 
 
 class TestDatasetFiles:
@@ -103,6 +115,44 @@ class TestDatasetFiles:
         with pytest.raises(OutOfRangeToken):
             formats.read_dataset_binary(path)
 
+    def test_every_truncation_is_a_format_error(self, tmp_path):
+        good = tmp_path / "good.dept"
+        formats.write_dataset_binary(TokenizedDataset(([1, 2], [], [3], [0, 1, 2]), 4), good)
+        raw = good.read_bytes()
+        path = tmp_path / "cut.dept"
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(FormatError):
+                formats.read_dataset_binary(path)
+
+    @given(token_datasets(max_sequences=12), st.integers(1, 9))
+    def test_writer_matches_per_sequence_reference(self, dataset, chunk_words):
+        import tempfile, os
+
+        fd, path = tempfile.mkstemp(suffix=".dept")
+        os.close(fd)
+        try:
+            with mock.patch.object(formats, "_WRITE_CHUNK_WORDS", chunk_words):
+                formats.write_dataset_binary(dataset, path)
+            with open(path, "rb") as handle:
+                assert handle.read() == reference_dataset_bytes(dataset)
+        finally:
+            os.unlink(path)
+
+    def test_text_out_of_range_reports_location(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("1 2\n\n\n4 9\n")
+        with pytest.raises(OutOfRangeToken) as err:
+            formats.read_dataset_text(path, 5)
+        assert (err.value.sequence_index, err.value.position, err.value.token_id) == (3, 1, 9)
+
+    def test_text_negative_id_rejected(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("1\n-3\n")
+        with pytest.raises(OutOfRangeToken) as err:
+            formats.read_dataset_text(path)
+        assert (err.value.sequence_index, err.value.position) == (1, 0)
+
     def test_read_dataset_dispatch(self, tmp_path):
         dataset = TokenizedDataset(([0, 1],), 3)
         text, binary = tmp_path / "d.txt", tmp_path / "d.dept"
@@ -155,6 +205,12 @@ class TestEmbeddingFiles:
         path = tmp_path / "emb.depe"
         formats.write_embeddings(EmbeddingMatrix(np.ones((2, 2), dtype=np.float32)), path)
         path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError):
+            formats.read_embeddings(path)
+
+    def test_zero_dim_rejected(self, tmp_path):
+        path = tmp_path / "emb.depe"
+        path.write_bytes(struct.pack("<4sIBQQ", b"DEPE", 1, 1, 3, 0))
         with pytest.raises(FormatError):
             formats.read_embeddings(path)
 

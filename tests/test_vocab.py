@@ -222,3 +222,84 @@ class TestDatasetType:
     def test_token_stream_order(self):
         dataset = TokenizedDataset(([3, 1], [2],), 5)
         assert dataset.token_stream().tolist() == [3, 1, 2]
+
+
+# Bad id placements: (sequences, flat-independent location of the bad id).
+BAD_ID_CASES = [
+    pytest.param(([9, 1, 2], [3]), (0, 0), id="first-token"),
+    pytest.param(([1, 2], [3, 9]), (1, 1), id="last-token"),
+    pytest.param(([1], [], [], [9, 2]), (3, 0), id="after-empty-sequences"),
+]
+
+
+class TestErrorLocation:
+    @pytest.mark.parametrize("seqs, where", BAD_ID_CASES)
+    def test_out_of_range_from_sequences(self, seqs, where):
+        with pytest.raises(OutOfRangeToken) as err:
+            TokenizedDataset(seqs, 5)
+        assert (err.value.sequence_index, err.value.position, err.value.token_id) == (*where, 9)
+
+    @pytest.mark.parametrize("seqs, where", BAD_ID_CASES)
+    def test_out_of_range_from_flat(self, seqs, where):
+        flat = TokenizedDataset(seqs, 10)
+        with pytest.raises(OutOfRangeToken) as err:
+            TokenizedDataset.from_flat(flat.tokens, flat.offsets, 5)
+        assert (err.value.sequence_index, err.value.position, err.value.token_id) == (*where, 9)
+
+    @pytest.mark.parametrize("seqs, where", BAD_ID_CASES)
+    @pytest.mark.parametrize("original_vocab", [10, 6], ids=["inside-lut", "beyond-lut"])
+    def test_unmapped(self, seqs, where, original_vocab):
+        remap = RemapTable(original_vocab, [1, 2, 3])
+        with pytest.raises(UnmappedToken) as err:
+            apply_remap(TokenizedDataset(seqs, 10), remap)
+        assert (err.value.sequence_index, err.value.position, err.value.token_id) == (*where, 9)
+
+    @pytest.mark.parametrize("seqs, where", BAD_ID_CASES)
+    def test_invert_out_of_range(self, seqs, where):
+        with pytest.raises(OutOfRangeToken) as err:
+            invert_remap(TokenizedDataset(seqs, 10), RemapTable(10, [0, 1, 2, 3, 4]))
+        assert (err.value.sequence_index, err.value.position, err.value.token_id) == (*where, 9)
+
+    def test_unmapped_reports_earliest_of_both_kinds(self):
+        # Id 7 is inside the lookup table but unmapped; id 9 is beyond it.
+        remap = RemapTable(8, [1, 2])
+        with pytest.raises(UnmappedToken) as err:
+            apply_remap(TokenizedDataset(([1, 7], [9]), 10), remap)
+        assert (err.value.sequence_index, err.value.position, err.value.token_id) == (0, 1, 7)
+
+
+class TestFlatLayout:
+    def test_layout_of_ragged_sequences(self):
+        dataset = TokenizedDataset(([1], [], [2, 3, 4]), 5)
+        assert dataset.tokens.dtype == np.uint32
+        assert dataset.tokens.tolist() == [1, 2, 3, 4]
+        assert dataset.offsets.tolist() == [0, 1, 1, 4]
+        assert not dataset.tokens.flags.writeable
+        assert not dataset.offsets.flags.writeable
+
+    def test_from_flat_equals_sequence_constructor(self):
+        tokens = np.array([1, 2, 3, 4], dtype=np.uint32)
+        offsets = np.array([0, 1, 1, 4], dtype=np.int64)
+        assert TokenizedDataset.from_flat(tokens, offsets, 5) == TokenizedDataset(([1], [], [2, 3, 4]), 5)
+
+    @pytest.mark.parametrize("offsets", [[1, 4], [0, 3], [0, 3, 2, 4], []])
+    def test_from_flat_rejects_bad_offsets(self, offsets):
+        with pytest.raises((ValueError, TypeError)):
+            TokenizedDataset.from_flat(
+                np.array([1, 2, 3, 4], dtype=np.uint32), np.array(offsets, dtype=np.int64), 5
+            )
+
+    def test_from_flat_rejects_wide_tokens(self):
+        with pytest.raises(TypeError):
+            TokenizedDataset.from_flat(np.array([1], dtype=np.int64), np.array([0, 1], dtype=np.int64), 5)
+
+    def test_huge_unsigned_id_rejected(self):
+        with pytest.raises(OutOfRangeToken) as err:
+            TokenizedDataset((np.array([1, 2**63 + 5], dtype=np.uint64),), 5)
+        assert err.value.token_id == 2**63 + 5
+
+    @given(token_datasets(), st.integers(1, 9))
+    def test_split_keeps_sequences(self, dataset, parts):
+        pieces = split_dataset(dataset, parts)
+        assert len(pieces) == parts
+        assert [seq for piece in pieces for seq in piece.to_lists()] == dataset.to_lists()
