@@ -44,7 +44,6 @@ from .metrics import (
     ModelConfig,
     ParamCount,
     PruneReport,
-    build_report,
     count_params,
     param_breakdown,
     pr_all,
@@ -98,7 +97,6 @@ __all__ = [
     "VocabSizeMismatch",
     "apply_remap",
     "build_remap",
-    "build_report",
     "count_params",
     "coverage_ratio",
     "find_unused_tokens",

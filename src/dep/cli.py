@@ -22,7 +22,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import formats
@@ -71,41 +70,15 @@ _EXIT_BY_CODE = {
 }
 
 
-def _default_partitions() -> int:
-    return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Resolved inputs for one subcommand invocation."""
-
-    out_dir: Path | None = None
-    dataset: Path | None = None
-    embeddings: Path | None = None
-    learned: Path | None = None
-    remap: Path | None = None
-    model_config: Path | None = None
-    vocab_size: int | None = None
-    ordering: RemapOrdering = RemapOrdering.ASCENDING_ID
-    keep_tokens: tuple[int, ...] = ()
-    partitions: int = field(default_factory=_default_partitions)
-    checkpoints: str = "pow2"
-    force: bool = False
-
-    def __post_init__(self) -> None:
-        if self.partitions < 1:
-            raise ValueError("partitions must be >= 1")
-
-
 def _require_exists(path: Path) -> Path:
     if not Path(path).is_file():
         raise MissingInput(path)
     return Path(path)
 
 
-def _output_path(cfg: PipelineConfig, name: str) -> Path:
-    path = cfg.out_dir / name
-    if path.exists() and not cfg.force:
+def _output_path(args: argparse.Namespace, name: str) -> Path:
+    path = args.out / name
+    if path.exists() and not args.force:
         raise OutputExists(path)
     return path
 
@@ -120,19 +93,19 @@ def _write(writer, payload, path: Path) -> Path:
     return path
 
 
-def _load_dataset(cfg: PipelineConfig, default_vocab: int | None = None):
-    path = _require_exists(cfg.dataset)
-    vocab = cfg.vocab_size
-    if vocab is None and str(path).endswith(".txt"):
+def _load_dataset(args: argparse.Namespace, default_vocab: int | None = None):
+    path = _require_exists(args.dataset)
+    vocab = args.vocab_size
+    if vocab is None and formats.is_text_dataset(path):
         vocab = default_vocab
     return formats.read_dataset(path, vocab)
 
 
-def cmd_analyze(cfg: PipelineConfig) -> int:
-    dataset = _load_dataset(cfg)
-    freqs = scan_dataset_parallel(dataset, cfg.partitions)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    dataset = _load_dataset(args)
+    freqs = scan_dataset_parallel(dataset, args.partitions)
     coverage = coverage_ratio(freqs) if freqs.vocab_size >= 1 else 0.0
-    curve = growth_curve(dataset, cfg.checkpoints)
+    curve = growth_curve(dataset, args.checkpoints)
     try:
         fit = fit_heaps(curve)
         heaps = {"k": fit.k, "beta": fit.beta, "rmse_log": fit.rmse_log}
@@ -143,7 +116,7 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
     used_counts = freqs.counts[used].astype("int64")
     top_order = (-used_counts).argsort(kind="stable")[:10]  # ties stay id-ascending
     stats = {
-        "dataset": str(cfg.dataset),
+        "dataset": str(args.dataset),
         "vocab_size": freqs.vocab_size,
         "num_sequences": dataset.num_sequences,
         "total_tokens": freqs.total_tokens,
@@ -154,8 +127,8 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
         "unused_token_count": int(unused.size),
         "unused_tokens": [int(t) for t in unused],
     }
-    stats_path = _output_path(cfg, "stats.json")
-    csv_path = _output_path(cfg, "growth.csv")
+    stats_path = _output_path(args, "stats.json")
+    csv_path = _output_path(args, "growth.csv")
     _write(formats.write_json, stats, stats_path)
     _write(formats.write_growth_csv, curve, csv_path)
     print(
@@ -165,22 +138,22 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_prune(cfg: PipelineConfig) -> int:
-    matrix = formats.read_embeddings(_require_exists(cfg.embeddings))
-    dataset = _load_dataset(cfg, default_vocab=matrix.rows)
+def cmd_prune(args: argparse.Namespace) -> int:
+    matrix = formats.read_embeddings(_require_exists(args.embeddings))
+    dataset = _load_dataset(args, default_vocab=matrix.rows)
     if dataset.vocab_size != matrix.rows:
         raise ShapeMismatch(
             f"dataset vocab_size {dataset.vocab_size} does not match "
             f"embedding matrix rows {matrix.rows}"
         )
-    freqs = scan_dataset_parallel(dataset, cfg.partitions)
-    remap = build_remap(freqs, cfg.ordering, cfg.keep_tokens)
+    freqs = scan_dataset_parallel(dataset, args.partitions)
+    remap = build_remap(freqs, args.ordering, args.keep)
     pruned = prune_embeddings(matrix, remap)
     remapped = apply_remap(dataset, remap)
-    dataset_name = "pruned_dataset.txt" if str(cfg.dataset).endswith(".txt") else "pruned_dataset.dept"
-    emb_path = _output_path(cfg, "pruned_embeddings.depe")
-    remap_path = _output_path(cfg, "remap.json")
-    data_path = _output_path(cfg, dataset_name)
+    dataset_name = "pruned_dataset.txt" if formats.is_text_dataset(args.dataset) else "pruned_dataset.dept"
+    emb_path = _output_path(args, "pruned_embeddings.depe")
+    remap_path = _output_path(args, "remap.json")
+    data_path = _output_path(args, dataset_name)
     _write(formats.write_embeddings, pruned, emb_path)
     _write(formats.write_remap, remap, remap_path)
     _write(formats.write_dataset, remapped, data_path)
@@ -191,32 +164,32 @@ def cmd_prune(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_restore(cfg: PipelineConfig) -> int:
-    original = formats.read_embeddings(_require_exists(cfg.embeddings))
-    learned = formats.read_embeddings(_require_exists(cfg.learned))
-    remap = formats.read_remap(_require_exists(cfg.remap))
+def cmd_restore(args: argparse.Namespace) -> int:
+    original = formats.read_embeddings(_require_exists(args.embeddings))
+    learned = formats.read_embeddings(_require_exists(args.learned))
+    remap = formats.read_remap(_require_exists(args.remap))
     if remap.original_vocab_size != original.rows:
         raise RemapInconsistent(
             f"remap covers vocab_size {remap.original_vocab_size} but the original "
             f"matrix has {original.rows} rows"
         )
     restored = restore_embeddings(original, learned, remap)
-    out_path = _output_path(cfg, "restored_embeddings.depe")
+    out_path = _output_path(args, "restored_embeddings.depe")
     _write(formats.write_embeddings, restored, out_path)
     print(f"restored {learned.rows} learned rows into {restored.rows}-row matrix")
     return EXIT_OK
 
 
-def cmd_report(cfg: PipelineConfig) -> int:
-    remap = formats.read_remap(_require_exists(cfg.remap))
-    config = formats.read_model_config(_require_exists(cfg.model_config))
+def cmd_report(args: argparse.Namespace) -> int:
+    remap = formats.read_remap(_require_exists(args.remap))
+    config = formats.read_model_config(_require_exists(args.model_config))
     if config.vocab_size != remap.original_vocab_size:
         raise InconsistentInputs(
             "model config vocab_size", config.vocab_size,
             "remap original_vocab_size", remap.original_vocab_size,
         )
     report = report_from_counts(remap.original_vocab_size, remap.reduced_size, config)
-    out_path = _output_path(cfg, "report.json")
+    out_path = _output_path(args, "report.json")
     _write(formats.write_report, report, out_path)
     print(
         f"{report.config_name}: pr_emb {100 * report.pr_emb:.1f}%, "
@@ -225,8 +198,8 @@ def cmd_report(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_count_params(cfg: PipelineConfig) -> int:
-    config = formats.read_model_config(_require_exists(cfg.model_config))
+def cmd_count_params(args: argparse.Namespace) -> int:
+    config = formats.read_model_config(_require_exists(args.model_config))
     params = count_params(config)
     payload = {
         "name": config.name,
@@ -249,6 +222,16 @@ def _parse_keep(text: str | None) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("--keep expects comma-separated integer ids") from None
 
 
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:  # argparse names the type "integer" when int() fails
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dep",
@@ -262,22 +245,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="vocabulary usage statistics and growth curve")
     p_analyze.add_argument("--dataset", required=True, type=Path)
-    p_analyze.add_argument("--vocab-size", type=int, default=None,
+    p_analyze.add_argument("--vocab-size", type=_int_at_least(0), default=None,
                            help="vocabulary size for text datasets (default: max id + 1)")
-    p_analyze.add_argument("--partitions", type=int, default=_default_partitions())
+    p_analyze.add_argument("--partitions", type=_int_at_least(1), default=None,
+                           help="scan threads (default: CPU count)")
     p_analyze.add_argument("--checkpoints", choices=("pow2", "all"), default="pow2")
     add_out(p_analyze)
 
     p_prune = sub.add_parser("prune", help="write reduced embeddings, remap, and remapped dataset")
     p_prune.add_argument("--dataset", required=True, type=Path)
     p_prune.add_argument("--embeddings", required=True, type=Path)
-    p_prune.add_argument("--vocab-size", type=int, default=None,
+    p_prune.add_argument("--vocab-size", type=_int_at_least(0), default=None,
                          help="vocabulary size for text datasets (default: embedding rows)")
     p_prune.add_argument("--ordering", choices=[o.value for o in RemapOrdering],
                          default=RemapOrdering.ASCENDING_ID.value)
     p_prune.add_argument("--keep", type=_parse_keep, default=(),
                          help="comma-separated ids to keep even if unused (e.g. padding)")
-    p_prune.add_argument("--partitions", type=int, default=_default_partitions())
+    p_prune.add_argument("--partitions", type=_int_at_least(1), default=None,
+                         help="scan threads (default: CPU count)")
     add_out(p_prune)
 
     p_restore = sub.add_parser("restore", help="scatter learned rows back into the full matrix")
@@ -295,23 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--model-config", required=True, type=Path)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        out_dir=getattr(args, "out", None),
-        dataset=getattr(args, "dataset", None),
-        embeddings=getattr(args, "embeddings", None),
-        learned=getattr(args, "learned", None),
-        remap=getattr(args, "remap", None),
-        model_config=getattr(args, "model_config", None),
-        vocab_size=getattr(args, "vocab_size", None),
-        ordering=RemapOrdering(getattr(args, "ordering", RemapOrdering.ASCENDING_ID.value)),
-        keep_tokens=getattr(args, "keep", ()),
-        partitions=getattr(args, "partitions", 1),
-        checkpoints=getattr(args, "checkpoints", "pow2"),
-        force=getattr(args, "force", False),
-    )
 
 
 _HANDLERS = {
@@ -336,8 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.command](cfg)
+        return _HANDLERS[args.command](args)
     except DepError as err:
         print(f"{err.code}: {err}", file=sys.stderr)
         return _EXIT_BY_CODE.get(err.code, EXIT_INTERNAL)

@@ -33,6 +33,7 @@ bytes.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from pathlib import Path
@@ -76,10 +77,15 @@ def _check_trailing(handle: BinaryIO) -> None:
         raise FormatError("trailing data after declared content")
 
 
-def _check_vocab_size(vocab_size: int) -> None:
+def _check_vocab_size(vocab_size: int, name: str = "vocab_size") -> None:
     # Counting allocates one slot per id, so an outside vocab_size is capped first.
-    if vocab_size > _MAX_VOCAB_SIZE:
-        raise FormatError(f"vocab_size {vocab_size} exceeds the u32 id range ({_MAX_VOCAB_SIZE})")
+    if not 0 <= vocab_size <= _MAX_VOCAB_SIZE:
+        raise FormatError(f"{name} {vocab_size} is outside the u32 id range 0..{_MAX_VOCAB_SIZE}")
+
+
+def is_text_dataset(path) -> bool:
+    """Whether a dataset path uses the text form (a ``.txt`` suffix)."""
+    return str(path).endswith(".txt")
 
 
 def write_dataset_binary(dataset: TokenizedDataset, path) -> None:
@@ -173,7 +179,7 @@ def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
 
 def write_dataset(dataset: TokenizedDataset, path) -> None:
     """Text form for ``.txt`` paths, binary otherwise."""
-    if str(path).endswith(".txt"):
+    if is_text_dataset(path):
         write_dataset_text(dataset, path)
     else:
         write_dataset_binary(dataset, path)
@@ -186,7 +192,7 @@ def read_dataset(path, vocab_size: int | None = None) -> TokenizedDataset:
     files the header value is authoritative; passing a different
     ``vocab_size`` raises :class:`InconsistentInputs`.
     """
-    if str(path).endswith(".txt"):
+    if is_text_dataset(path):
         return read_dataset_text(path, vocab_size)
     dataset = read_dataset_binary(path)
     if vocab_size is not None and vocab_size != dataset.vocab_size:
@@ -246,10 +252,13 @@ def write_remap(remap: RemapTable, path) -> None:
 
 
 def read_remap(path) -> RemapTable:
+    """Malformed JSON raises :class:`FormatError`, non-bijective pairs :class:`RemapInconsistent`."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also undecodable UTF-8
         raise FormatError(f"remap file is not valid JSON: {err}") from None
+    if not isinstance(obj, dict):
+        raise FormatError("remap file must be a JSON object")
     for key in ("original_vocab_size", "ordering", "keep_tokens", "pairs"):
         if key not in obj:
             raise FormatError(f"remap file missing key {key!r}")
@@ -257,28 +266,27 @@ def read_remap(path) -> RemapTable:
         ordering = RemapOrdering(obj["ordering"])
     except ValueError:
         raise FormatError(f"unknown ordering {obj['ordering']!r}") from None
-    original_vocab_size = int(obj["original_vocab_size"])
-    pairs = obj["pairs"]
-    inverse = np.zeros(len(pairs), dtype=np.int64)
-    seen_dense = np.zeros(len(pairs), dtype=bool)
-    seen_orig = set()
-    for pair in pairs:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FormatError(f"remap pair must be [original, dense], got {pair!r}")
-        orig, dense = int(pair[0]), int(pair[1])
-        if dense < 0 or dense >= len(pairs) or seen_dense[dense]:
-            raise RemapInconsistent(f"dense ids must cover 0..{len(pairs) - 1} exactly once")
-        if orig < 0 or orig >= original_vocab_size:
-            raise RemapInconsistent(
-                f"original id {orig} is outside vocab_size {original_vocab_size}"
-            )
-        if orig in seen_orig:
-            raise RemapInconsistent(f"original id {orig} appears twice")
-        seen_dense[dense] = True
-        seen_orig.add(orig)
-        inverse[dense] = orig
-    keep_tokens = tuple(int(t) for t in obj["keep_tokens"])
-    return RemapTable(original_vocab_size, inverse, ordering, keep_tokens)
+    try:
+        original_vocab_size = operator.index(obj["original_vocab_size"])
+        keep_tokens = tuple(map(operator.index, obj["keep_tokens"]))
+    except TypeError:
+        raise FormatError("remap original_vocab_size and keep_tokens must be integers") from None
+    _check_vocab_size(original_vocab_size, "original_vocab_size")
+    try:  # np.asarray([]) has shape (0,), but an empty remap is valid
+        pairs = np.asarray(obj["pairs"]) if obj["pairs"] != [] else np.empty((0, 2), dtype=np.int64)
+    except ValueError:  # ragged
+        pairs = np.empty(0)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise FormatError("remap pairs must be a list of [original_id, dense_id] integer pairs")
+    dense = pairs[:, 1]
+    if not np.array_equal(np.sort(dense), np.arange(dense.size)):
+        raise RemapInconsistent(f"dense ids must cover 0..{dense.size - 1} exactly once")
+    inverse = np.empty(dense.size, dtype=pairs.dtype)
+    inverse[dense] = pairs[:, 0]
+    try:
+        return RemapTable(original_vocab_size, inverse, ordering, keep_tokens)
+    except ValueError as err:
+        raise RemapInconsistent(str(err)) from None
 
 
 def report_to_json(report: PruneReport) -> str:
@@ -331,7 +339,7 @@ def read_model_config(path) -> ModelConfig:
     """Model configuration JSON; ``name`` defaults to the file stem."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also undecodable UTF-8
         raise FormatError(f"model config is not valid JSON: {err}") from None
     if not isinstance(obj, dict):
         raise FormatError("model config must be a JSON object")

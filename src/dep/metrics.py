@@ -17,8 +17,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .errors import InconsistentInputs, InvalidCounts
-from .vocab import FrequencyTable, RemapTable
+from .errors import InvalidCounts
 
 
 @dataclass(frozen=True)
@@ -188,31 +187,3 @@ def report_from_counts(
         timestamp=resolve_timestamp(timestamp),
     )
 
-
-def build_report(
-    freqs: FrequencyTable,
-    remap: RemapTable,
-    config: ModelConfig,
-    matrix_before,
-    matrix_after,
-    timestamp: str | None = None,
-) -> PruneReport:
-    """Aggregate one in-memory prune run into a report.
-
-    All inputs must describe the same run; the first disagreement raises
-    :class:`InconsistentInputs` naming the mismatched pair.
-    """
-
-    def require(name_a: str, value_a, name_b: str, value_b) -> None:
-        if value_a != value_b:
-            raise InconsistentInputs(name_a, value_a, name_b, value_b)
-
-    require("freqs.vocab_size", freqs.vocab_size,
-            "remap.original_vocab_size", remap.original_vocab_size)
-    require("matrix_before.rows", matrix_before.rows,
-            "remap.original_vocab_size", remap.original_vocab_size)
-    require("config.vocab_size", config.vocab_size, "matrix_before.rows", matrix_before.rows)
-    require("matrix_after.rows", matrix_after.rows, "remap.reduced_size", remap.reduced_size)
-    require("matrix_before.dim", matrix_before.dim, "matrix_after.dim", matrix_after.dim)
-    require("config.d_model", config.d_model, "matrix_before.dim", matrix_before.dim)
-    return report_from_counts(remap.original_vocab_size, remap.reduced_size, config, timestamp)

@@ -251,12 +251,13 @@ class RemapTable:
         if arr.ndim != 1:
             raise ValueError("inverse must be one-dimensional")
         if arr.size:
-            if arr.dtype.kind == "i" and bool((arr < 0).any()):
-                raise ValueError("inverse contains negative ids")
-            if bool((arr >= self.original_vocab_size).any()):
-                raise ValueError("inverse contains ids outside the original vocabulary")
-            if np.unique(arr).size != arr.size:
-                raise ValueError("inverse contains duplicate ids (mapping must be bijective)")
+            for extreme in (int(arr.min()), int(arr.max())):
+                if not 0 <= extreme < self.original_vocab_size:
+                    raise ValueError(f"id {extreme} is outside the original vocab_size {self.original_vocab_size}")
+            ids = np.sort(arr)
+            repeated = ids[1:][ids[1:] == ids[:-1]]
+            if repeated.size:
+                raise ValueError(f"id {int(repeated[0])} is mapped twice (mapping must be bijective)")
         object.__setattr__(self, "inverse", _read_only(np.ascontiguousarray(arr, dtype=TOKEN_DTYPE)))
         object.__setattr__(self, "ordering", RemapOrdering(self.ordering))
         object.__setattr__(self, "keep_tokens", tuple(int(t) for t in self.keep_tokens))
@@ -316,10 +317,7 @@ def scan_dataset_parallel(dataset: TokenizedDataset, partitions: int | None = No
     chunks = [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=min(partitions, os.cpu_count() or 1)) as pool:
         partials = list(pool.map(_count_ids, chunks, [dataset.vocab_size] * partitions))
-    total = np.zeros(dataset.vocab_size, dtype=COUNT_DTYPE)
-    for part in partials:
-        total += part
-    return FrequencyTable(total)
+    return merge_frequency_tables([FrequencyTable(part) for part in partials])
 
 
 def split_dataset(dataset: TokenizedDataset, parts: int) -> list[TokenizedDataset]:

@@ -1,12 +1,17 @@
 """End-to-end subcommand behavior: artifacts, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import re
 import struct
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dep import EmbeddingMatrix, TokenizedDataset, formats
 from dep.cli import main
@@ -122,6 +127,23 @@ class TestHostileHeaders:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("BAD_FORMAT: ") and len(err.strip()) > len("BAD_FORMAT:")
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("command", ["analyze", "prune"])
+    @pytest.mark.parametrize("flag", [("--partitions", 0), ("--partitions", -3), ("--vocab-size", -1)],
+                             ids=["partitions-0", "partitions-minus-3", "vocab-size-minus-1"])
+    def test_rejected_with_exit_2(self, workspace, capsys, command, flag):
+        tmp_path, _, _, _, matrix_path, _ = workspace
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        argv = [command, "--dataset", empty, *flag, "--out", tmp_path / "out"]
+        if command == "prune":
+            argv += ["--embeddings", matrix_path]
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag[0]}: expected an integer" in capsys.readouterr().err
 
 
 class TestPrune:
@@ -244,6 +266,82 @@ class TestRestore:
                    "--remap", pruned / "remap.json", "--out", tmp_path / "r")
         assert code == 3
         assert capsys.readouterr().err.startswith("REMAP_INCONSISTENT: ")
+
+
+def _run_quiet(*argv) -> tuple[int, str]:
+    """Exit code and stderr of one run (``capsys`` is function-scoped, so Hypothesis tests cannot use it)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+def _restore_and_report(matrix_path, pruned, config_path, remap_path, out):
+    """Exit code and stderr of ``restore`` and of ``report`` given one remap file."""
+    return [
+        _run_quiet("restore", "--embeddings", matrix_path, "--learned", pruned / "pruned_embeddings.depe",
+                   "--remap", remap_path, "--out", out / "restored", "--force"),
+        _run_quiet("report", "--remap", remap_path, "--model-config", config_path,
+                   "--out", out / "report", "--force"),
+    ]
+
+
+_ERROR_LINE = re.compile(r"[A-Z_]+: \S.*\n")
+
+
+@pytest.fixture(scope="module")
+def pruned_run(tmp_path_factory):
+    """A finished prune of the vocab-8 fixture: (matrix, prune output dir, config, remap bytes)."""
+    tmp_path = tmp_path_factory.mktemp("pruned_run")
+    dataset_path, matrix_path = tmp_path / "dataset.dept", tmp_path / "embeddings.depe"
+    formats.write_dataset_binary(TokenizedDataset(([1, 3], [5, 1], [3]), 8), dataset_path)
+    formats.write_embeddings(EmbeddingMatrix(np.ones((8, 2), dtype=np.float32)), matrix_path)
+    config_path = tmp_path / "toy_config.json"
+    config_path.write_text(json.dumps({"vocab_size": 8, "d_model": 2, "num_layers": 1, "num_heads": 1}))
+    pruned = tmp_path / "pruned"
+    assert run("prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--out", pruned) == 0
+    return matrix_path, pruned, config_path, (pruned / "remap.json").read_bytes()
+
+
+class TestMalformedRemap:
+    """A remap file ``restore`` and ``report`` cannot use exits 2 or 3, never 1."""
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda obj: 5, id="top-level-scalar"),
+        pytest.param(lambda obj: {**obj, "original_vocab_size": -1}, id="vocab-size-negative"),
+        pytest.param(lambda obj: {**obj, "original_vocab_size": "abc"}, id="vocab-size-string"),
+        pytest.param(lambda obj: {**obj, "original_vocab_size": 2**40}, id="vocab-size-2^40"),
+        pytest.param(lambda obj: {**obj, "pairs": 5}, id="pairs-scalar"),
+        pytest.param(lambda obj: {**obj, "pairs": [[1, 0], [3]]}, id="pairs-ragged"),
+        pytest.param(lambda obj: {**obj, "pairs": [[1, 0, 0], [3, 1, 1]]}, id="pairs-triples"),
+        pytest.param(lambda obj: {**obj, "pairs": [[1.0, 0.0], [3.0, 1.0]]}, id="pairs-floats"),
+        pytest.param(lambda obj: {**obj, "pairs": [[2**70, 0]]}, id="pairs-2^70"),
+        pytest.param(lambda obj: {**obj, "pairs": [["a", 0]]}, id="pairs-string-id"),
+        pytest.param(lambda obj: {**obj, "keep_tokens": ["x"]}, id="keep-tokens-string"),
+    ])
+    def test_exits_2_or_3(self, pruned_run, tmp_path, change):
+        matrix_path, pruned, config_path, blob = pruned_run
+        remap_path = tmp_path / "remap.json"
+        remap_path.write_text(json.dumps(change(json.loads(blob))))
+        for code, err in _restore_and_report(matrix_path, pruned, config_path, remap_path, tmp_path):
+            assert code in (2, 3)
+            assert _ERROR_LINE.fullmatch(err)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_never_exits_1(self, pruned_run, tmp_path_factory, data):
+        matrix_path, pruned, config_path, blob = pruned_run
+        damaged = bytearray(blob)
+        byte = st.integers(0, 255) | st.sampled_from(b"0123456789-.e[]")
+        for index, value in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), byte), max_size=4)):
+            damaged[index] = value
+        damaged = damaged[:data.draw(st.just(len(blob)) | st.integers(0, len(blob)))]
+        out = tmp_path_factory.mktemp("damaged")
+        remap_path = out / "remap.json"
+        remap_path.write_bytes(bytes(damaged))
+        for code, err in _restore_and_report(matrix_path, pruned, config_path, remap_path, out):
+            assert code in (0, 2, 3), err
+            assert code == 0 or _ERROR_LINE.fullmatch(err)
 
 
 class TestReport:

@@ -235,6 +235,12 @@ class TestRemapFiles:
         assert loaded == remap
         assert loaded.forward == {5: 0, 2: 1, 9: 2}
 
+    def test_empty_roundtrip(self, tmp_path):
+        remap = RemapTable(4, [])
+        path = tmp_path / "remap.json"
+        formats.write_remap(remap, path)
+        assert formats.read_remap(path) == remap
+
     def test_pairs_sorted_by_dense_id(self, tmp_path):
         import json
 

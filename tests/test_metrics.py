@@ -10,14 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dep import (
-    EmbeddingMatrix,
-    FrequencyTable,
-    InconsistentInputs,
     InvalidCounts,
     ModelConfig,
     PruneReport,
-    RemapTable,
-    build_report,
     count_params,
     param_breakdown,
     pr_all,
@@ -141,17 +136,10 @@ class TestPrAll:
 
 
 class TestReports:
-    def make_inputs(self, used=(1, 3, 5), vocab=8, dim=4):
-        counts = np.zeros(vocab, dtype=np.uint64)
-        for token in used:
-            counts[token] = 2
-        freqs = FrequencyTable(counts)
-        remap = RemapTable(vocab, list(used))
-        config = ModelConfig(vocab, dim, 1, 1, max_positions=4, type_vocab=1, name="toy")
-        rng = np.random.default_rng(31)
-        before = EmbeddingMatrix(rng.standard_normal((vocab, dim)).astype(np.float32))
-        after = EmbeddingMatrix(before.data[remap.inverse])
-        return freqs, remap, config, before, after
+    def make_report(self, timestamp):
+        """Report for keeping 3 of 8 rows of a toy model."""
+        config = ModelConfig(8, 4, 1, 1, max_positions=4, type_vocab=1, name="toy")
+        return report_from_counts(8, 3, config, timestamp), config
 
     def test_identity_remap_reports_zero(self):
         config = ModelConfig(4, 2, 1, 1, max_positions=2, type_vocab=1, name="t")
@@ -166,8 +154,7 @@ class TestReports:
         assert report.bytes_saved == (30522 - 1736) * 768 * 4 == 28786 * 768 * 4
 
     def test_report_json_roundtrip(self):
-        freqs, remap, config, before, after = self.make_inputs()
-        report = build_report(freqs, remap, config, before, after, timestamp="2024-01-01T00:00:00Z")
+        report, _ = self.make_report("2024-01-01T00:00:00Z")
         payload = json.dumps(report.to_json_dict())
         assert PruneReport.from_json_dict(json.loads(payload)) == report
 
@@ -178,16 +165,8 @@ class TestReports:
         assert obj["poep_pct"] == 21.4
         assert 0 < obj["pr_emb"] < 1  # full precision kept alongside
 
-    def test_inconsistent_inputs_name_the_pair(self):
-        freqs, remap, config, before, after = self.make_inputs()
-        wrong_after = EmbeddingMatrix(np.zeros((before.rows, config.d_model), dtype=np.float32))
-        with pytest.raises(InconsistentInputs) as err:
-            build_report(freqs, remap, config, before, wrong_after)
-        assert "matrix_after.rows" in str(err.value)
-
     def test_invariant_pr_all_equals_product(self):
-        freqs, remap, config, before, after = self.make_inputs()
-        report = build_report(freqs, remap, config, before, after, timestamp="t0")
+        report, config = self.make_report("t0")
         params = count_params(config)
         assert report.pr_all == pytest.approx(report.pr_emb * params.poep, abs=1e-15)
         assert 0 <= report.pr_all <= report.pr_emb <= 1
