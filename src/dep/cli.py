@@ -32,7 +32,6 @@ from .errors import (
     DepError,
     InconsistentInputs,
     InsufficientPoints,
-    MissingInput,
     OutputExists,
     RemapInconsistent,
     ShapeMismatch,
@@ -70,12 +69,6 @@ _EXIT_BY_CODE = {
 }
 
 
-def _require_exists(path: Path) -> Path:
-    if not Path(path).is_file():
-        raise MissingInput(path)
-    return Path(path)
-
-
 def _output_path(args: argparse.Namespace, name: str) -> Path:
     path = args.out / name
     if path.exists() and not args.force:
@@ -94,11 +87,10 @@ def _write(writer, payload, path: Path) -> Path:
 
 
 def _load_dataset(args: argparse.Namespace, default_vocab: int | None = None):
-    path = _require_exists(args.dataset)
     vocab = args.vocab_size
-    if vocab is None and formats.is_text_dataset(path):
+    if vocab is None and formats.is_text_dataset(args.dataset):
         vocab = default_vocab
-    return formats.read_dataset(path, vocab)
+    return formats.read_dataset(args.dataset, vocab)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -139,7 +131,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
-    matrix = formats.read_embeddings(_require_exists(args.embeddings))
+    matrix = formats.read_embeddings(args.embeddings)
     dataset = _load_dataset(args, default_vocab=matrix.rows)
     if dataset.vocab_size != matrix.rows:
         raise ShapeMismatch(
@@ -165,9 +157,9 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
 
 def cmd_restore(args: argparse.Namespace) -> int:
-    original = formats.read_embeddings(_require_exists(args.embeddings))
-    learned = formats.read_embeddings(_require_exists(args.learned))
-    remap = formats.read_remap(_require_exists(args.remap))
+    original = formats.read_embeddings(args.embeddings)
+    learned = formats.read_embeddings(args.learned)
+    remap = formats.read_remap(args.remap)
     if remap.original_vocab_size != original.rows:
         raise RemapInconsistent(
             f"remap covers vocab_size {remap.original_vocab_size} but the original "
@@ -181,8 +173,8 @@ def cmd_restore(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    remap = formats.read_remap(_require_exists(args.remap))
-    config = formats.read_model_config(_require_exists(args.model_config))
+    remap = formats.read_remap(args.remap)
+    config = formats.read_model_config(args.model_config)
     if config.vocab_size != remap.original_vocab_size:
         raise InconsistentInputs(
             "model config vocab_size", config.vocab_size,
@@ -199,7 +191,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_count_params(args: argparse.Namespace) -> int:
-    config = formats.read_model_config(_require_exists(args.model_config))
+    config = formats.read_model_config(args.model_config)
     params = count_params(config)
     payload = {
         "name": config.name,
@@ -308,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     except DepError as err:
         print(f"{err.code}: {err}", file=sys.stderr)
         return _EXIT_BY_CODE.get(err.code, EXIT_INTERNAL)
-    except FileNotFoundError as err:
-        print(f"MISSING_INPUT: input file not found: {err.filename}", file=sys.stderr)
-        return EXIT_MISSING
     except Exception as err:  # pragma: no cover - defensive catch-all
         log.exception("internal error")
         print(f"INTERNAL_ERROR: {err}", file=sys.stderr)

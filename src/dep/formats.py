@@ -28,6 +28,10 @@ pairs}`` with ``pairs`` as ``[original_id, dense_id]`` sorted by dense id;
 JSON keeps them auditable and they hold at most one pair per vocabulary
 entry. Writers emit a fixed key order so identical inputs give identical
 bytes.
+
+Every reader opens its input through ``_open``, so a missing path or a
+directory is :class:`MissingInput`; text that is not UTF-8 or not the
+expected JSON object is :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import operator
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .errors import (
     BadMagic,
     FormatError,
     InconsistentInputs,
+    MissingInput,
     OutOfRangeToken,
     RemapInconsistent,
     UnsupportedVersion,
@@ -65,16 +69,60 @@ _MAX_VOCAB_SIZE = 2**32  # ids are u32
 _WRITE_CHUNK_WORDS = 1 << 20  # bounds the writer's temporaries
 
 
-def _read_exact(handle: BinaryIO, size: int, what: str) -> bytes:
-    data = handle.read(size)
-    if len(data) != size:
-        raise FormatError(f"unexpected end of file while reading {what}")
-    return data
+def _open(path):
+    """Open an input for reading; a path that names no file is :class:`MissingInput`."""
+    try:
+        return open(path, "rb")
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise MissingInput(path) from None
 
 
-def _check_trailing(handle: BinaryIO) -> None:
-    if handle.read(1):
-        raise FormatError("trailing data after declared content")
+def _read_container(path, header: struct.Struct, magic: bytes, dtype) -> tuple[tuple, np.ndarray]:
+    """The header fields after magic and version, and the body as one array of 4-byte words."""
+    with _open(path) as handle:
+        head = handle.read(header.size)
+        if len(head) != header.size:
+            raise FormatError(f"unexpected end of file while reading the {magic.decode()} header")
+        found, version, *fields = header.unpack(head)
+        if found != magic:
+            raise BadMagic(magic, found)
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersion(version, FORMAT_VERSION)
+        body_bytes = os.fstat(handle.fileno()).st_size - header.size
+        if body_bytes % 4:
+            raise FormatError(f"{magic.decode()} body of {body_bytes} bytes is not whole 4-byte words")
+        return tuple(fields), np.fromfile(handle, dtype=dtype)
+
+
+def _write_container(path, header: struct.Struct, magic: bytes, fields, chunks) -> None:
+    with open(path, "wb") as handle:
+        handle.write(header.pack(magic, FORMAT_VERSION, *fields))
+        handle.writelines(map(memoryview, chunks))  # drops each chunk before making the next
+
+
+def _read_utf8(path, what: str) -> str:
+    with _open(path) as handle:
+        try:
+            return handle.read().decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{what} is not UTF-8: {err}") from None
+
+
+def _read_json_object(path, what: str) -> dict:
+    try:
+        obj = json.loads(_read_utf8(path, what))
+    except (ValueError, RecursionError) as err:  # RecursionError: nesting deeper than the parser's stack
+        raise FormatError(f"{what} is not valid JSON: {err}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    return obj
+
+
+def _check_types(obj: dict, types: dict[str, type], what: str) -> None:
+    """Each listed key present in ``obj`` holds exactly that JSON type (a boolean is not an int)."""
+    for key, value in obj.items():
+        if key in types and type(value) is not types[key]:
+            raise FormatError(f"{what} {key} must be a JSON {types[key].__name__}, got {type(value).__name__}")
 
 
 def _check_vocab_size(vocab_size: int, name: str = "vocab_size") -> None:
@@ -89,43 +137,30 @@ def is_text_dataset(path) -> bool:
 
 
 def write_dataset_binary(dataset: TokenizedDataset, path) -> None:
+    fields = (dataset.vocab_size, dataset.num_sequences)
+    _write_container(path, _DATASET_HEADER, DATASET_MAGIC, fields, _v1_body_chunks(dataset))
+
+
+def _v1_body_chunks(dataset: TokenizedDataset):
+    """Length words interleaved with ids, in chunks of whole sequences."""
     tokens, offsets = dataset.tokens, dataset.offsets
     # Body word index of each sequence's length word; the last entry is the body size.
     starts = offsets + np.arange(offsets.size)
-    with open(path, "wb") as handle:
-        handle.write(
-            _DATASET_HEADER.pack(
-                DATASET_MAGIC, FORMAT_VERSION, dataset.vocab_size, dataset.num_sequences
-            )
-        )
-        i, n = 0, dataset.num_sequences
-        while i < n:
-            # Whole sequences, at most _WRITE_CHUNK_WORDS words unless one sequence is longer.
-            j = max(i + 1, int(np.searchsorted(starts, starts[i] + _WRITE_CHUNK_WORDS, "right")) - 1)
-            words = np.empty(int(starts[j] - starts[i]), dtype="<u4")
-            is_length = np.zeros(words.size, dtype=bool)
-            is_length[starts[i:j] - starts[i]] = True
-            words[is_length] = np.diff(offsets[i:j + 1])
-            words[~is_length] = tokens[offsets[i]:offsets[j]]
-            handle.write(memoryview(words))
-            i = j
+    i, n = 0, dataset.num_sequences
+    while i < n:
+        # At most _WRITE_CHUNK_WORDS words unless one sequence is longer.
+        j = max(i + 1, int(np.searchsorted(starts, starts[i] + _WRITE_CHUNK_WORDS, "right")) - 1)
+        ids = tokens[offsets[i]:offsets[j]]
+        yield np.insert(ids, offsets[i:j] - offsets[i], np.diff(offsets[i:j + 1])).astype("<u4", copy=False)
+        i = j
 
 
 def read_dataset_binary(path) -> TokenizedDataset:
-    with open(path, "rb") as handle:
-        header = _read_exact(handle, _DATASET_HEADER.size, "dataset header")
-        magic, version, vocab_size, num_sequences = _DATASET_HEADER.unpack(header)
-        if magic != DATASET_MAGIC:
-            raise BadMagic(DATASET_MAGIC, magic)
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersion(version, FORMAT_VERSION)
-        _check_vocab_size(vocab_size)
-        body_bytes = os.fstat(handle.fileno()).st_size - _DATASET_HEADER.size
-        body = np.fromfile(handle, dtype="<u4").astype(TOKEN_DTYPE, copy=False)
+    (vocab_size, num_sequences), body = _read_container(path, _DATASET_HEADER, DATASET_MAGIC, "<u4")
+    _check_vocab_size(vocab_size)
+    body = body.astype(TOKEN_DTYPE, copy=False)
     if num_sequences > body.size:
-        raise FormatError(
-            f"header declares {num_sequences} sequences but the body holds only {body.size} words"
-        )
+        raise FormatError(f"header declares {num_sequences} sequences but the body holds only {body.size} words")
     # Walk the length words: sequence i's length is body word length_at[i].
     length_at = np.empty(num_sequences, dtype=np.int64)
     words, starts = memoryview(body), memoryview(length_at)
@@ -138,13 +173,11 @@ def read_dataset_binary(path) -> TokenizedDataset:
         raise FormatError(f"unexpected end of file while reading sequence {i} length") from None
     if pos > body.size:
         raise FormatError(f"unexpected end of file while reading sequence {num_sequences - 1} ids")
-    if pos < body.size or body_bytes % 4:
+    if pos < body.size:
         raise FormatError("trailing data after declared content")
     offsets = np.zeros(num_sequences + 1, dtype=np.int64)
     np.cumsum(body[length_at], dtype=np.int64, out=offsets[1:])
-    is_token = np.ones(body.size, dtype=bool)
-    is_token[length_at] = False
-    return TokenizedDataset.from_flat(body[is_token], offsets, int(vocab_size))
+    return TokenizedDataset.from_flat(np.delete(body, length_at), offsets, int(vocab_size))
 
 
 def write_dataset_text(dataset: TokenizedDataset, path) -> None:
@@ -153,7 +186,7 @@ def write_dataset_text(dataset: TokenizedDataset, path) -> None:
 
 
 def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_utf8(path, "text dataset").splitlines()
     ids: list[int] = []
     lengths = []
     for line_no, line in enumerate(lines, start=1):
@@ -203,37 +236,20 @@ def read_dataset(path, vocab_size: int | None = None) -> TokenizedDataset:
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(
-            _EMBEDDINGS_HEADER.pack(
-                EMBEDDINGS_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, matrix.rows, matrix.dim
-            )
-        )
-        handle.write(memoryview(np.ascontiguousarray(matrix.data, dtype="<f4")))
+    fields = (DTYPE_FLOAT32, matrix.rows, matrix.dim)
+    payload = np.ascontiguousarray(matrix.data, dtype="<f4")
+    _write_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, fields, [payload])
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
-    with open(path, "rb") as handle:
-        header = _read_exact(handle, _EMBEDDINGS_HEADER.size, "embeddings header")
-        magic, version, dtype_code, rows, cols = _EMBEDDINGS_HEADER.unpack(header)
-        if magic != EMBEDDINGS_MAGIC:
-            raise BadMagic(EMBEDDINGS_MAGIC, magic)
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersion(version, FORMAT_VERSION)
-        if dtype_code != DTYPE_FLOAT32:
-            raise FormatError(f"unsupported dtype code {dtype_code}")
-        if cols < 1:
-            raise FormatError(f"embedding dim must be >= 1, got {cols}")
-        payload_size = 4 * rows * cols
-        available = os.fstat(handle.fileno()).st_size - _EMBEDDINGS_HEADER.size
-        if payload_size > available:
-            raise FormatError(
-                f"header declares a {rows} x {cols} matrix but the file holds only {available} payload bytes"
-            )
-        payload = _read_exact(handle, payload_size, "embedding payload")
-        _check_trailing(handle)
-    data = np.frombuffer(payload, dtype="<f4").reshape(int(rows), int(cols))
-    return EmbeddingMatrix(data)
+    (dtype_code, rows, cols), body = _read_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, "<f4")
+    if dtype_code != DTYPE_FLOAT32:
+        raise FormatError(f"unsupported dtype code {dtype_code}")
+    if cols < 1:
+        raise FormatError(f"embedding dim must be >= 1, got {cols}")
+    if body.size != rows * cols:
+        raise FormatError(f"header declares a {rows} x {cols} matrix but the body holds {body.size} values")
+    return EmbeddingMatrix(body.reshape(rows, cols))
 
 
 def remap_to_json(remap: RemapTable) -> str:
@@ -253,12 +269,7 @@ def write_remap(remap: RemapTable, path) -> None:
 
 def read_remap(path) -> RemapTable:
     """Malformed JSON raises :class:`FormatError`, non-bijective pairs :class:`RemapInconsistent`."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:  # also undecodable UTF-8
-        raise FormatError(f"remap file is not valid JSON: {err}") from None
-    if not isinstance(obj, dict):
-        raise FormatError("remap file must be a JSON object")
+    obj = _read_json_object(path, "remap file")
     for key in ("original_vocab_size", "ordering", "keep_tokens", "pairs"):
         if key not in obj:
             raise FormatError(f"remap file missing key {key!r}")
@@ -297,11 +308,13 @@ def write_report(report: PruneReport, path) -> None:
     Path(path).write_text(report_to_json(report), encoding="utf-8")
 
 
+_REPORT_TYPES = {"original_vocab": int, "reduced_vocab": int, "pr_emb": float, "pr_all": float, "poep": float,
+                 "bytes_saved": int, "config_name": str, "timestamp": str}
+
+
 def read_report(path) -> PruneReport:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise FormatError(f"report file is not valid JSON: {err}") from None
+    obj = _read_json_object(path, "report file")
+    _check_types(obj, _REPORT_TYPES, "report file")
     try:
         return PruneReport.from_json_dict(obj)
     except KeyError as err:
@@ -314,7 +327,7 @@ def write_growth_csv(curve: GrowthCurve, path) -> None:
 
 
 def read_growth_csv(path) -> list[tuple[int, int]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_utf8(path, "growth curve CSV").splitlines()
     if not lines or lines[0] != "tokens,unique":
         raise FormatError("growth curve CSV must start with header 'tokens,unique'")
     points = []
@@ -332,26 +345,21 @@ def write_json(obj, path) -> None:
 
 
 _CONFIG_REQUIRED = ("vocab_size", "d_model", "num_layers", "num_heads")
-_CONFIG_OPTIONAL = ("ffn_dim", "max_positions", "type_vocab", "has_pooler", "name")
+_CONFIG_TYPES = {**dict.fromkeys(_CONFIG_REQUIRED + ("ffn_dim", "max_positions", "type_vocab"), int),
+                 "has_pooler": bool, "name": str}
 
 
 def read_model_config(path) -> ModelConfig:
     """Model configuration JSON; ``name`` defaults to the file stem."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:  # also undecodable UTF-8
-        raise FormatError(f"model config is not valid JSON: {err}") from None
-    if not isinstance(obj, dict):
-        raise FormatError("model config must be a JSON object")
-    unknown = sorted(set(obj) - set(_CONFIG_REQUIRED) - set(_CONFIG_OPTIONAL))
+    obj = _read_json_object(path, "model config")
+    unknown = sorted(set(obj) - set(_CONFIG_TYPES))
     if unknown:
         raise FormatError(f"model config has unknown keys: {', '.join(unknown)}")
     missing = sorted(set(_CONFIG_REQUIRED) - set(obj))
     if missing:
         raise FormatError(f"model config missing keys: {', '.join(missing)}")
-    kwargs = {key: obj[key] for key in obj}
-    kwargs.setdefault("name", Path(path).stem)
+    _check_types(obj, _CONFIG_TYPES, "model config")
     try:
-        return ModelConfig(**kwargs)
-    except (TypeError, ValueError) as err:
+        return ModelConfig(**{"name": Path(path).stem, **obj})
+    except ValueError as err:
         raise FormatError(f"invalid model config: {err}") from None

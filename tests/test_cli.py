@@ -268,12 +268,21 @@ class TestRestore:
         assert capsys.readouterr().err.startswith("REMAP_INCONSISTENT: ")
 
 
-def _run_quiet(*argv) -> tuple[int, str]:
+def _run_quiet(*argv, stdout=None) -> tuple[int, str]:
     """Exit code and stderr of one run (``capsys`` is function-scoped, so Hypothesis tests cannot use it)."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout or io.StringIO()):
         code = run(*argv)
     return code, err.getvalue()
+
+
+def _damage(data, blob: bytes) -> bytes:
+    """``blob`` with up to four bytes replaced and an optional truncation, drawn by Hypothesis."""
+    damaged = bytearray(blob)
+    byte = st.integers(0, 255) | st.sampled_from(b"0123456789-.e[]")
+    for index, value in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), byte), max_size=4)):
+        damaged[index] = value
+    return bytes(damaged[:data.draw(st.just(len(blob)) | st.integers(0, len(blob)))])
 
 
 def _restore_and_report(matrix_path, pruned, config_path, remap_path, out):
@@ -331,17 +340,106 @@ class TestMalformedRemap:
     @given(data=st.data())
     def test_damaged_file_never_exits_1(self, pruned_run, tmp_path_factory, data):
         matrix_path, pruned, config_path, blob = pruned_run
-        damaged = bytearray(blob)
-        byte = st.integers(0, 255) | st.sampled_from(b"0123456789-.e[]")
-        for index, value in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), byte), max_size=4)):
-            damaged[index] = value
-        damaged = damaged[:data.draw(st.just(len(blob)) | st.integers(0, len(blob)))]
         out = tmp_path_factory.mktemp("damaged")
         remap_path = out / "remap.json"
-        remap_path.write_bytes(bytes(damaged))
+        remap_path.write_bytes(_damage(data, blob))
         for code, err in _restore_and_report(matrix_path, pruned, config_path, remap_path, out):
             assert code in (0, 2, 3), err
             assert code == 0 or _ERROR_LINE.fullmatch(err)
+
+
+@pytest.fixture(scope="module")
+def clean_inputs(pruned_run):
+    """Every input file of the pruned vocab-8 fixture by name, plus the dataset as text."""
+    matrix_path, pruned, config_path, _ = pruned_run
+    text_path = matrix_path.parent / "dataset.txt"
+    formats.write_dataset_text(formats.read_dataset_binary(matrix_path.parent / "dataset.dept"), text_path)
+    return {
+        "dataset.dept": matrix_path.parent / "dataset.dept",
+        "dataset.txt": text_path,
+        "embeddings.depe": matrix_path,
+        "learned.depe": pruned / "pruned_embeddings.depe",
+        "remap.json": pruned / "remap.json",
+        "config.json": config_path,
+    }
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestDamagedInputs:
+    """Byte damage to any input file exits 0, 2, 3 or 5 with one ``CODE: message`` line, never 1.
+
+    A binary dataset never goes through ``analyze`` and a text one only with ``--vocab-size``:
+    a damaged but legal vocabulary size up to 2^32 makes ``analyze`` allocate one counter per id.
+    """
+
+    @pytest.mark.parametrize("target, argv", [
+        pytest.param("dataset.dept", ["prune", "--dataset", "dataset.dept", "--embeddings", "embeddings.depe"],
+                     id="dept-prune"),
+        pytest.param("embeddings.depe", ["restore", "--embeddings", "embeddings.depe",
+                                         "--learned", "learned.depe", "--remap", "remap.json"],
+                     id="depe-restore-embeddings"),
+        pytest.param("learned.depe", ["restore", "--embeddings", "embeddings.depe",
+                                      "--learned", "learned.depe", "--remap", "remap.json"],
+                     id="depe-restore-learned"),
+        pytest.param("dataset.txt", ["analyze", "--dataset", "dataset.txt", "--vocab-size", "8"],
+                     id="txt-analyze"),
+        pytest.param("dataset.txt", ["prune", "--dataset", "dataset.txt", "--embeddings", "embeddings.depe"],
+                     id="txt-prune"),
+        pytest.param("config.json", ["count-params", "--model-config", "config.json"], id="config-count-params"),
+        pytest.param("config.json", ["report", "--remap", "remap.json", "--model-config", "config.json"],
+                     id="config-report"),
+    ])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_never_exits_1(self, clean_inputs, tmp_path_factory, target, argv, data):
+        out = tmp_path_factory.mktemp("damaged")
+        damaged = out / clean_inputs[target].name
+        damaged.write_bytes(_damage(data, clean_inputs[target].read_bytes()))
+        paths = {**clean_inputs, target: damaged}
+        argv = [paths.get(arg, arg) for arg in argv]
+        if argv[0] != "count-params":
+            argv += ["--out", out / "out"]
+        stdout = io.StringIO()
+        code, err = _run_quiet(*argv, stdout=stdout)
+        assert code in (0, 2, 3, 5), err
+        assert code == 0 or _ERROR_LINE.fullmatch(err)
+        if code == 0 and argv[0] == "count-params":
+            json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("command", ["analyze", "prune"])
+    def test_non_utf8_text_dataset_exits_2(self, workspace, capsys, command):
+        tmp_path, _, _, _, matrix_path, _ = workspace
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 3\n\xff\n")
+        argv = [command, "--dataset", bad, "--out", tmp_path / "out"]
+        if command == "prune":
+            argv += ["--embeddings", matrix_path]
+        assert run(*argv) == 2
+        assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("BAD_FORMAT: ")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["analyze", "--dataset", "dir"], id="analyze-dataset"),
+        pytest.param(["analyze", "--dataset", "dir.txt"], id="analyze-text-dataset"),
+        pytest.param(["prune", "--dataset", "dir", "--embeddings", "embeddings"], id="prune-dataset"),
+        pytest.param(["prune", "--dataset", "dataset", "--embeddings", "dir"], id="prune-embeddings"),
+        pytest.param(["count-params", "--model-config", "dir"], id="count-params-config"),
+    ])
+    def test_directory_input_exits_5(self, workspace, capsys, argv):
+        tmp_path, _, _, dataset_path, matrix_path, _ = workspace
+        paths = {"dataset": dataset_path, "embeddings": matrix_path}
+        for name in ("dir", "dir.txt"):
+            paths[name] = tmp_path / name
+            paths[name].mkdir()
+        argv = [paths.get(arg, arg) for arg in argv]
+        if argv[0] != "count-params":
+            argv += ["--out", tmp_path / "out"]
+        assert run(*argv) == 5
+        assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("MISSING_INPUT: ")
 
 
 class TestReport:
@@ -433,6 +531,27 @@ class TestCountParams:
         assert payload["n_emb"] == 23_440_896
         assert payload["poep_pct"] == 21.4
         assert sum(payload["breakdown"].values()) == payload["n_total"]
+
+
+_TOY_CONFIG = {"vocab_size": "8", "d_model": "2", "num_layers": "1", "num_heads": "1"}  # JSON literals
+
+
+class TestModelConfigTypes:
+    """A config field of the wrong JSON type exits 2, before any count is printed."""
+
+    @pytest.mark.parametrize("key, literal", [
+        ("vocab_size", "1e400"), ("vocab_size", "8.5"), ("vocab_size", "true"), ("d_model", "2.0"),
+        ("num_layers", '"1"'), ("num_heads", "false"), ("ffn_dim", "8.0"), ("max_positions", '"4"'),
+        ("type_vocab", "null"), ("has_pooler", '"no"'), ("has_pooler", "0"), ("name", "5"),
+    ])
+    def test_wrong_type_exits_2(self, tmp_path, capsys, key, literal):
+        path = tmp_path / "cfg.json"
+        fields = {**_TOY_CONFIG, key: literal}
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        assert run("count-params", "--model-config", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _ERROR_LINE.fullmatch(captured.err) and captured.err.startswith("BAD_FORMAT: ")
 
 
 class TestPipeline:

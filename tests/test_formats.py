@@ -1,5 +1,6 @@
 """File format round-trips and rejection of malformed inputs."""
 
+import json
 import struct
 from unittest import mock
 
@@ -208,6 +209,14 @@ class TestEmbeddingFiles:
         with pytest.raises(FormatError):
             formats.read_embeddings(path)
 
+    @pytest.mark.parametrize("extra", [b"\x00", bytes(4)], ids=["partial-word", "whole-word"])
+    def test_trailing_payload(self, tmp_path, extra):
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(EmbeddingMatrix(np.ones((2, 2), dtype=np.float32)), path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(FormatError):
+            formats.read_embeddings(path)
+
     def test_zero_dim_rejected(self, tmp_path):
         path = tmp_path / "emb.depe"
         path.write_bytes(struct.pack("<4sIBQQ", b"DEPE", 1, 1, 3, 0))
@@ -313,6 +322,34 @@ class TestReportAndCurveFiles:
         assert path.read_text().splitlines()[0] == "tokens,unique"
         assert formats.read_growth_csv(path) == [(1, 1), (2, 2), (4, 3)]
 
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda obj: [obj], id="top-level-list"),
+        pytest.param(lambda obj: {**obj, "original_vocab": "100"}, id="int-as-string"),
+        pytest.param(lambda obj: {**obj, "bytes_saved": 1.5}, id="int-as-float"),
+        pytest.param(lambda obj: {**obj, "reduced_vocab": True}, id="int-as-bool"),
+        pytest.param(lambda obj: {**obj, "pr_emb": None}, id="float-as-null"),
+        pytest.param(lambda obj: {**obj, "poep": [0.5]}, id="float-as-list"),
+        pytest.param(lambda obj: {**obj, "config_name": 5}, id="str-as-int"),
+        pytest.param(lambda obj: {k: v for k, v in obj.items() if k != "timestamp"}, id="missing-key"),
+    ])
+    def test_malformed_report_is_format_error(self, tmp_path, change):
+        config = ModelConfig(100, 8, 2, 2, max_positions=4, type_vocab=1, name="toy")
+        obj = report_from_counts(100, 40, config, timestamp="2024-06-01T00:00:00Z").to_json_dict()
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(change(obj)))
+        with pytest.raises(FormatError):
+            formats.read_report(path)
+
+    @pytest.mark.parametrize("reader", [
+        formats.read_dataset_text, formats.read_growth_csv, formats.read_remap, formats.read_report,
+        formats.read_model_config,
+    ])
+    def test_undecodable_utf8_is_format_error(self, tmp_path, reader):
+        path = tmp_path / "input"
+        path.write_bytes(b"tokens,unique\n\xff\n")
+        with pytest.raises(FormatError):
+            reader(path)
+
     def test_growth_csv_bad_header(self, tmp_path):
         path = tmp_path / "growth.csv"
         path.write_text("a,b\n1,1\n")
@@ -347,6 +384,14 @@ class TestModelConfigFiles:
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"vocab_size": 100}')
+        with pytest.raises(FormatError):
+            formats.read_model_config(path)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"vocab_size": ' + "9" * 5000 + "}"],
+                             ids=["nested-past-recursion-limit", "integer-past-digit-limit"])
+    def test_json_beyond_parser_limits_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
         with pytest.raises(FormatError):
             formats.read_model_config(path)
 
