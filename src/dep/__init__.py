@@ -38,7 +38,6 @@ from .errors import (
     UnmappedToken,
     UnsupportedVersion,
     UnwritableOutput,
-    VocabSizeMismatch,
 )
 from .metrics import (
     ModelConfig,
@@ -58,10 +57,8 @@ from .vocab import (
     apply_remap,
     build_remap,
     invert_remap,
-    merge_frequency_tables,
     scan_dataset,
     scan_dataset_parallel,
-    split_dataset,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +91,6 @@ __all__ = [
     "UnsupportedVersion",
     "UnwritableOutput",
     "ValidationSummary",
-    "VocabSizeMismatch",
     "apply_remap",
     "build_remap",
     "count_params",
@@ -103,7 +99,6 @@ __all__ = [
     "fit_heaps",
     "growth_curve",
     "invert_remap",
-    "merge_frequency_tables",
     "param_breakdown",
     "pr_all",
     "pr_emb",
@@ -112,6 +107,5 @@ __all__ = [
     "restore_embeddings",
     "scan_dataset",
     "scan_dataset_parallel",
-    "split_dataset",
     "validate_matrix",
 ]

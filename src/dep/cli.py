@@ -21,7 +21,9 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import formats
@@ -60,7 +62,6 @@ _EXIT_BY_CODE = {
     "INSUFFICIENT_POINTS": EXIT_PARSE,
     "DEGENERATE_FIT": EXIT_PARSE,
     "SHAPE_MISMATCH": EXIT_SHAPE,
-    "VOCAB_SIZE_MISMATCH": EXIT_SHAPE,
     "REMAP_INCONSISTENT": EXIT_SHAPE,
     "INCONSISTENT_INPUTS": EXIT_SHAPE,
     "OUTPUT_EXISTS": EXIT_OUTPUT,
@@ -69,21 +70,35 @@ _EXIT_BY_CODE = {
 }
 
 
-def _output_path(args: argparse.Namespace, name: str) -> Path:
-    path = args.out / name
-    if path.exists() and not args.force:
-        raise OutputExists(path)
-    return path
+def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
+    """Commit a subcommand's whole output set ``{name: (writer, payload)}`` or none of it.
 
-
-def _write(writer, payload, path: Path) -> Path:
+    Every name is checked before anything is written. Each file is written
+    under its own name into one staging directory inside ``--out`` and
+    renamed into place only once all of them are written, so a failed run
+    leaves the previous set untouched.
+    """
+    paths = [args.out / name for name in outputs]
+    for path in paths:
+        if path.exists() and not args.force:
+            raise OutputExists(path)
+        if path.is_dir():
+            raise UnwritableOutput(path, "is a directory")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        writer(payload, path)
+        args.out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".dep-", dir=args.out))
+    except OSError as err:
+        raise UnwritableOutput(args.out, str(err)) from None
+    try:
+        for path, (writer, payload) in zip(paths, outputs.values()):
+            writer(payload, stage / path.name)
+        for path in paths:
+            os.replace(stage / path.name, path)
+            log.info("wrote %s", path)
     except OSError as err:
         raise UnwritableOutput(path, str(err)) from None
-    log.info("wrote %s", path)
-    return path
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _load_dataset(args: argparse.Namespace, default_vocab: int | None = None):
@@ -119,10 +134,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "unused_token_count": int(unused.size),
         "unused_tokens": [int(t) for t in unused],
     }
-    stats_path = _output_path(args, "stats.json")
-    csv_path = _output_path(args, "growth.csv")
-    _write(formats.write_json, stats, stats_path)
-    _write(formats.write_growth_csv, curve, csv_path)
+    _write_outputs(args, {"stats.json": (formats.write_json, stats),
+                          "growth.csv": (formats.write_growth_csv, curve)})
     print(
         f"analyzed {dataset.num_sequences} sequences, {freqs.total_tokens} tokens: "
         f"{freqs.used_count}/{freqs.vocab_size} ids used (coverage {coverage:.4f})"
@@ -143,12 +156,9 @@ def cmd_prune(args: argparse.Namespace) -> int:
     pruned = prune_embeddings(matrix, remap)
     remapped = apply_remap(dataset, remap)
     dataset_name = "pruned_dataset.txt" if formats.is_text_dataset(args.dataset) else "pruned_dataset.dept"
-    emb_path = _output_path(args, "pruned_embeddings.depe")
-    remap_path = _output_path(args, "remap.json")
-    data_path = _output_path(args, dataset_name)
-    _write(formats.write_embeddings, pruned, emb_path)
-    _write(formats.write_remap, remap, remap_path)
-    _write(formats.write_dataset, remapped, data_path)
+    _write_outputs(args, {"pruned_embeddings.depe": (formats.write_embeddings, pruned),
+                          "remap.json": (formats.write_remap, remap),
+                          dataset_name: (formats.write_dataset, remapped)})
     print(
         f"pruned embeddings {matrix.rows} -> {pruned.rows} rows "
         f"(kept {remap.reduced_size}, ordering {remap.ordering.value})"
@@ -166,8 +176,7 @@ def cmd_restore(args: argparse.Namespace) -> int:
             f"matrix has {original.rows} rows"
         )
     restored = restore_embeddings(original, learned, remap)
-    out_path = _output_path(args, "restored_embeddings.depe")
-    _write(formats.write_embeddings, restored, out_path)
+    _write_outputs(args, {"restored_embeddings.depe": (formats.write_embeddings, restored)})
     print(f"restored {learned.rows} learned rows into {restored.rows}-row matrix")
     return EXIT_OK
 
@@ -181,8 +190,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "remap original_vocab_size", remap.original_vocab_size,
         )
     report = report_from_counts(remap.original_vocab_size, remap.reduced_size, config)
-    out_path = _output_path(args, "report.json")
-    _write(formats.write_report, report, out_path)
+    _write_outputs(args, {"report.json": (formats.write_report, report)})
     print(
         f"{report.config_name}: pr_emb {100 * report.pr_emb:.1f}%, "
         f"pr_all {100 * report.pr_all:.1f}%, {report.bytes_saved} bytes saved"
@@ -236,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
     p_analyze = sub.add_parser("analyze", help="vocabulary usage statistics and growth curve")
+    p_analyze.set_defaults(handler=cmd_analyze)
     p_analyze.add_argument("--dataset", required=True, type=Path)
     p_analyze.add_argument("--vocab-size", type=_int_at_least(0), default=None,
                            help="vocabulary size for text datasets (default: max id + 1)")
@@ -245,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p_analyze)
 
     p_prune = sub.add_parser("prune", help="write reduced embeddings, remap, and remapped dataset")
+    p_prune.set_defaults(handler=cmd_prune)
     p_prune.add_argument("--dataset", required=True, type=Path)
     p_prune.add_argument("--embeddings", required=True, type=Path)
     p_prune.add_argument("--vocab-size", type=_int_at_least(0), default=None,
@@ -258,29 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p_prune)
 
     p_restore = sub.add_parser("restore", help="scatter learned rows back into the full matrix")
+    p_restore.set_defaults(handler=cmd_restore)
     p_restore.add_argument("--embeddings", required=True, type=Path, help="original full matrix")
     p_restore.add_argument("--learned", required=True, type=Path, help="fine-tuned reduced matrix")
     p_restore.add_argument("--remap", required=True, type=Path)
     add_out(p_restore)
 
     p_report = sub.add_parser("report", help="savings report from a remap and a model config")
+    p_report.set_defaults(handler=cmd_report)
     p_report.add_argument("--remap", required=True, type=Path)
     p_report.add_argument("--model-config", required=True, type=Path)
     add_out(p_report)
 
     p_count = sub.add_parser("count-params", help="parameter accounting for a model config")
+    p_count.set_defaults(handler=cmd_count_params)
     p_count.add_argument("--model-config", required=True, type=Path)
 
     return parser
-
-
-_HANDLERS = {
-    "analyze": cmd_analyze,
-    "prune": cmd_prune,
-    "restore": cmd_restore,
-    "report": cmd_report,
-    "count-params": cmd_count_params,
-}
 
 
 def _configure_logging() -> None:
@@ -296,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except DepError as err:
         print(f"{err.code}: {err}", file=sys.stderr)
         return _EXIT_BY_CODE.get(err.code, EXIT_INTERNAL)

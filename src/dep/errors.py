@@ -44,17 +44,6 @@ class UnmappedToken(DepError):
         )
 
 
-class VocabSizeMismatch(DepError):
-    """Frequency tables being merged disagree on vocabulary size."""
-
-    code = "VOCAB_SIZE_MISMATCH"
-
-    def __init__(self, expected: int, found: int):
-        self.expected = expected
-        self.found = found
-        super().__init__(f"cannot merge tables with vocab_size {found} into vocab_size {expected}")
-
-
 class KeepTokenOutOfRange(DepError):
     """A requested keep token lies outside the vocabulary."""
 

@@ -37,9 +37,9 @@ expected JSON object is :class:`FormatError`.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +125,11 @@ def _check_types(obj: dict, types: dict[str, type], what: str) -> None:
             raise FormatError(f"{what} {key} must be a JSON {types[key].__name__}, got {type(value).__name__}")
 
 
+def _only_ints(values) -> bool:
+    """Whether every value is a JSON integer; Python and numpy both take ``true`` as 1."""
+    return set(map(type, values)) <= {int}
+
+
 def _check_vocab_size(vocab_size: int, name: str = "vocab_size") -> None:
     # Counting allocates one slot per id, so an outside vocab_size is capped first.
     if not 0 <= vocab_size <= _MAX_VOCAB_SIZE:
@@ -185,8 +190,18 @@ def write_dataset_text(dataset: TokenizedDataset, path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+def _plain_ascii(text: str) -> bool:
+    # int() also takes "1_0", "+3" and non-ASCII digits such as "３"; decimal ids have none.
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
-    lines = _read_utf8(path, "text dataset").splitlines()
+    text = _read_utf8(path, "text dataset")
+    if not _plain_ascii(text):
+        line_no = next(n for n, line in enumerate(text.splitlines(True), start=1) if not _plain_ascii(line))
+        raise FormatError(f"line {line_no}: token ids must be decimal integers")
+    lines = text.splitlines()
+    del text  # the ids take more memory than the text; do not hold both
     ids: list[int] = []
     lengths = []
     for line_no, line in enumerate(lines, start=1):
@@ -277,18 +292,18 @@ def read_remap(path) -> RemapTable:
         ordering = RemapOrdering(obj["ordering"])
     except ValueError:
         raise FormatError(f"unknown ordering {obj['ordering']!r}") from None
-    try:
-        original_vocab_size = operator.index(obj["original_vocab_size"])
-        keep_tokens = tuple(map(operator.index, obj["keep_tokens"]))
-    except TypeError:
-        raise FormatError("remap original_vocab_size and keep_tokens must be integers") from None
+    _check_types(obj, {"original_vocab_size": int, "keep_tokens": list}, "remap file")
+    original_vocab_size, keep_tokens = obj["original_vocab_size"], obj["keep_tokens"]
+    if not _only_ints(keep_tokens):
+        raise FormatError("remap keep_tokens must be JSON integers")
     _check_vocab_size(original_vocab_size, "original_vocab_size")
     try:  # np.asarray([]) has shape (0,), but an empty remap is valid
         pairs = np.asarray(obj["pairs"]) if obj["pairs"] != [] else np.empty((0, 2), dtype=np.int64)
     except ValueError:  # ragged
         pairs = np.empty(0)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
-        raise FormatError("remap pairs must be a list of [original_id, dense_id] integer pairs")
+    if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
+            or not _only_ints(chain.from_iterable(obj["pairs"]))):
+        raise FormatError("remap pairs must be a list of [original_id, dense_id] JSON integer pairs")
     dense = pairs[:, 1]
     if not np.array_equal(np.sort(dense), np.arange(dense.size)):
         raise RemapInconsistent(f"dense ids must cover 0..{dense.size - 1} exactly once")

@@ -26,16 +26,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    KeepTokenOutOfRange,
-    OutOfRangeToken,
-    UnmappedToken,
-    VocabSizeMismatch,
-)
+from .errors import KeepTokenOutOfRange, OutOfRangeToken, UnmappedToken
 
 TOKEN_DTYPE = np.uint32
 # 64-bit counts: corpora can exceed 2**32 tokens.
@@ -156,10 +151,6 @@ class TokenizedDataset:
         """A read-only view of each sequence; whole-dataset code uses ``tokens``."""
         bounds = self.offsets.tolist()
         return tuple(self.tokens[a:b] for a, b in zip(bounds, bounds[1:]))
-
-    def token_stream(self) -> np.ndarray:
-        """All ids in dataset order (sequence, then position), read-only."""
-        return self.tokens
 
     def to_lists(self) -> list[list[int]]:
         ids, bounds = self.tokens.tolist(), self.offsets.tolist()
@@ -317,36 +308,7 @@ def scan_dataset_parallel(dataset: TokenizedDataset, partitions: int | None = No
     chunks = [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=min(partitions, os.cpu_count() or 1)) as pool:
         partials = list(pool.map(_count_ids, chunks, [dataset.vocab_size] * partitions))
-    return merge_frequency_tables([FrequencyTable(part) for part in partials])
-
-
-def split_dataset(dataset: TokenizedDataset, parts: int) -> list[TokenizedDataset]:
-    """Split into ``parts`` runs of consecutive sequences (some possibly empty)."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    base, extra = divmod(dataset.num_sequences, parts)
-    cuts = np.cumsum([0] + [base + (i < extra) for i in range(parts)]).tolist()
-    out = []
-    for a, b in zip(cuts, cuts[1:]):
-        lo, hi = int(dataset.offsets[a]), int(dataset.offsets[b])
-        out.append(TokenizedDataset.from_flat(
-            dataset.tokens[lo:hi], dataset.offsets[a:b + 1] - lo, dataset.vocab_size
-        ))
-    return out
-
-
-def merge_frequency_tables(parts: Sequence[FrequencyTable]) -> FrequencyTable:
-    """Elementwise sum of per-partition counts; order never matters."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    vocab_size = parts[0].vocab_size
-    for table in parts[1:]:
-        if table.vocab_size != vocab_size:
-            raise VocabSizeMismatch(vocab_size, table.vocab_size)
-    total = np.zeros(vocab_size, dtype=COUNT_DTYPE)
-    for table in parts:
-        total += table.counts
-    return FrequencyTable(total)
+    return FrequencyTable(sum(partials))
 
 
 def build_remap(

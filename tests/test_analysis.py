@@ -91,7 +91,7 @@ class TestGrowthCurve:
         st.integers(1, 17),
     )
     def test_matches_unique_reference(self, dataset, policy, chunk):
-        stream = dataset.token_stream()
+        stream = dataset.tokens
         explicit = range(1, stream.size + 1, 3)
         checkpoints = list(explicit) if policy == "explicit" else policy
         with mock.patch.object(analysis, "_SCAN_CHUNK", chunk):  # many chunk boundaries

@@ -327,6 +327,9 @@ class TestMalformedRemap:
         pytest.param(lambda obj: {**obj, "pairs": [[2**70, 0]]}, id="pairs-2^70"),
         pytest.param(lambda obj: {**obj, "pairs": [["a", 0]]}, id="pairs-string-id"),
         pytest.param(lambda obj: {**obj, "keep_tokens": ["x"]}, id="keep-tokens-string"),
+        pytest.param(lambda obj: {**obj, "original_vocab_size": True}, id="vocab-size-boolean"),
+        pytest.param(lambda obj: {**obj, "keep_tokens": [True]}, id="keep-tokens-boolean"),
+        pytest.param(lambda obj: {**obj, "pairs": [[True, 0], *obj["pairs"][1:]]}, id="pairs-boolean-id"),
     ])
     def test_exits_2_or_3(self, pruned_run, tmp_path, change):
         matrix_path, pruned, config_path, blob = pruned_run
@@ -440,6 +443,88 @@ class TestInputBoundary:
             argv += ["--out", tmp_path / "out"]
         assert run(*argv) == 5
         assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("MISSING_INPUT: ")
+
+
+    def test_non_decimal_text_id_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "x.txt"
+        bad.write_text("1_0 +3 \uff13\n", encoding="utf-8")
+        assert run("analyze", "--dataset", bad, "--vocab-size", 20, "--out", tmp_path / "out") == 2
+        assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("BAD_FORMAT: line 1: ")
+
+
+def _listing(out: Path) -> dict[str, bytes | None]:
+    """Every entry under ``out`` with its bytes (``None`` for a directory)."""
+    return {path.name: None if path.is_dir() else path.read_bytes() for path in out.iterdir()}
+
+
+class TestOutputSet:
+    """A subcommand replaces its whole output set or none of it."""
+
+    @pytest.fixture()
+    def previous(self, workspace):
+        """``--out`` holding a finished prune with ``--keep 0``, and the argv of a prune that differs from it."""
+        tmp_path, _, _, dataset_path, matrix_path, _ = workspace
+        out = tmp_path / "out"
+        argv = ["prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--out", out]
+        assert run(*argv, "--keep", "0") == 0
+        return out, [*argv, "--force"]
+
+    def test_directory_at_output_name_keeps_previous_set(self, previous, capsys):
+        out, argv = previous
+        (out / "pruned_dataset.dept").unlink()
+        (out / "pruned_dataset.dept").mkdir()
+        before = _listing(out)
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"UNWRITABLE_OUTPUT: cannot write output: {out / 'pruned_dataset.dept'}")
+        assert _listing(out) == before
+
+    def test_failing_writer_keeps_previous_set(self, previous, capsys, monkeypatch):
+        out, argv = previous
+        before = _listing(out)
+
+        def fail(dataset, path):
+            Path(path).write_bytes(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(formats, "write_dataset", fail)
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"UNWRITABLE_OUTPUT: cannot write output: {out / 'pruned_dataset.dept'} (disk full)\n"
+        assert _listing(out) == before  # also: no .dep-* staging directory is left
+
+    def test_interrupted_writer_keeps_previous_set(self, previous, monkeypatch):
+        out, argv = previous
+        before = _listing(out)
+
+        def interrupt(dataset, path):
+            Path(path).write_bytes(b"partial")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(formats, "write_dataset", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run(*argv)
+        assert _listing(out) == before
+
+    def test_successful_runs_write_exactly_the_documented_files(self, workspace):
+        tmp_path, dataset, _, dataset_path, matrix_path, config_path = workspace
+        text_path = tmp_path / "dataset.txt"
+        formats.write_dataset_text(dataset, text_path)
+        p, t = tmp_path / "p", tmp_path / "t"
+        runs = {
+            ("analyze", "--dataset", dataset_path, "--out", tmp_path / "a"): ["growth.csv", "stats.json"],
+            ("prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--out", p):
+                ["pruned_dataset.dept", "pruned_embeddings.depe", "remap.json"],
+            ("prune", "--dataset", text_path, "--embeddings", matrix_path, "--out", t):
+                ["pruned_dataset.txt", "pruned_embeddings.depe", "remap.json"],
+            ("restore", "--embeddings", matrix_path, "--learned", p / "pruned_embeddings.depe",
+             "--remap", p / "remap.json", "--out", tmp_path / "r"): ["restored_embeddings.depe"],
+            ("report", "--remap", p / "remap.json", "--model-config", config_path, "--out", tmp_path / "rep"):
+                ["report.json"],
+        }
+        for argv, names in runs.items():
+            assert run(*argv) == 0
+            assert sorted(path.name for path in argv[-1].iterdir()) == names
 
 
 class TestReport:

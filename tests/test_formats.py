@@ -154,6 +154,14 @@ class TestDatasetFiles:
             formats.read_dataset_text(path)
         assert (err.value.sequence_index, err.value.position) == (1, 0)
 
+    @pytest.mark.parametrize("field", ["1_0", "+3", "\uff13", "1\u00a02", "2\u2028"],
+                             ids=["underscore", "plus", "full-width-digit", "nbsp", "line-separator"])
+    def test_text_non_decimal_id_rejected(self, tmp_path, field):
+        path = tmp_path / "data.txt"
+        path.write_text(f"1 2\n\n3 {field}\n4\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="^line 3: "):
+            formats.read_dataset_text(path, 20)
+
     def test_read_dataset_dispatch(self, tmp_path):
         dataset = TokenizedDataset(([0, 1],), 3)
         text, binary = tmp_path / "d.txt", tmp_path / "d.dept"
@@ -291,6 +299,16 @@ class TestRemapFiles:
             "pairs": pairs,
         }))
         with pytest.raises(RemapInconsistent):
+            formats.read_remap(path)
+
+    @pytest.mark.parametrize("change", [
+        {"original_vocab_size": True}, {"keep_tokens": [False]}, {"pairs": [[0, 0], [True, 1]]},
+    ])
+    def test_boolean_rejected(self, tmp_path, change):
+        path = tmp_path / "remap.json"
+        formats.write_remap(RemapTable(4, [0, 2]), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+        with pytest.raises(FormatError, match="JSON int"):
             formats.read_remap(path)
 
     def test_unknown_ordering(self, tmp_path):

@@ -13,14 +13,11 @@ from dep import (
     RemapTable,
     TokenizedDataset,
     UnmappedToken,
-    VocabSizeMismatch,
     apply_remap,
     build_remap,
     invert_remap,
-    merge_frequency_tables,
     scan_dataset,
     scan_dataset_parallel,
-    split_dataset,
 )
 
 from _strategies import datasets_with_remaps, orderings, token_datasets
@@ -68,33 +65,7 @@ class TestScanDataset:
 
 
 class TestMergeFrequencyTables:
-    def test_elementwise_sum(self):
-        merged = merge_frequency_tables([FrequencyTable([1, 0]), FrequencyTable([0, 2])])
-        assert merged.counts.tolist() == [1, 2]
-
-    def test_single_table_identity(self):
-        table = FrequencyTable([3, 0, 1])
-        assert merge_frequency_tables([table]) == table
-
-    def test_vocab_size_mismatch(self):
-        with pytest.raises(VocabSizeMismatch):
-            merge_frequency_tables([FrequencyTable([1]), FrequencyTable([1, 2])])
-
-    def test_eight_partitions_match_whole_scan(self):
-        rng = np.random.default_rng(11)
-        seqs = [rng.integers(0, 30, size=5).tolist() for _ in range(41)]
-        dataset = TokenizedDataset(tuple(seqs), 30)
-        whole = scan_dataset(dataset)
-        parts = [scan_dataset(part) for part in split_dataset(dataset, 8)]
-        assert merge_frequency_tables(parts) == whole
-
-    @given(token_datasets(), st.integers(1, 9), st.integers(0, 2**32 - 1))
-    def test_partition_invariance_any_split(self, dataset, parts, shuffle_seed):
-        whole = scan_dataset(dataset)
-        tables = [scan_dataset(part) for part in split_dataset(dataset, parts)]
-        rng = np.random.default_rng(shuffle_seed)
-        rng.shuffle(tables)  # merge order must not matter
-        assert merge_frequency_tables(tables) == whole
+    """Per-thread partial counts merge into the whole-corpus table."""
 
     @given(token_datasets(), st.sampled_from([1, 2, 3, 8]))
     def test_scan_parallel_matches_scan(self, dataset, partitions):
@@ -221,7 +192,7 @@ class TestDatasetType:
 
     def test_token_stream_order(self):
         dataset = TokenizedDataset(([3, 1], [2],), 5)
-        assert dataset.token_stream().tolist() == [3, 1, 2]
+        assert dataset.tokens.tolist() == [3, 1, 2]
 
 
 # Bad id placements: (sequences, flat-independent location of the bad id).
@@ -298,8 +269,3 @@ class TestFlatLayout:
             TokenizedDataset((np.array([1, 2**63 + 5], dtype=np.uint64),), 5)
         assert err.value.token_id == 2**63 + 5
 
-    @given(token_datasets(), st.integers(1, 9))
-    def test_split_keeps_sequences(self, dataset, parts):
-        pieces = split_dataset(dataset, parts)
-        assert len(pieces) == parts
-        assert [seq for piece in pieces for seq in piece.to_lists()] == dataset.to_lists()
