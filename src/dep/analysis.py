@@ -50,10 +50,6 @@ class GrowthCurve:
     def final_unique(self) -> int:
         return self.points[-1][1] if self.points else 0
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.points
-
 
 @dataclass(frozen=True)
 class HeapsFit:
@@ -62,9 +58,6 @@ class HeapsFit:
     k: float
     beta: float
     rmse_log: float
-
-    def predict(self, tokens):
-        return self.k * np.asarray(tokens, dtype=float) ** self.beta
 
 
 def _resolve_checkpoints(policy: CheckpointPolicy, total: int) -> list[int]:

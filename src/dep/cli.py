@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--vocab-size", type=_int_at_least(0), default=None,
                            help="vocabulary size for text datasets (default: max id + 1)")
     p_analyze.add_argument("--partitions", type=_int_at_least(1), default=None,
-                           help="scan threads (default: CPU count)")
+                           help="any N >= 1; counting runs on one thread, so outputs never depend on N")
     p_analyze.add_argument("--checkpoints", choices=("pow2", "all"), default="pow2")
     add_out(p_analyze)
 
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune.add_argument("--keep", type=_parse_keep, default=(),
                          help="comma-separated ids to keep even if unused (e.g. padding)")
     p_prune.add_argument("--partitions", type=_int_at_least(1), default=None,
-                         help="scan threads (default: CPU count)")
+                         help="any N >= 1; counting runs on one thread, so outputs never depend on N")
     add_out(p_prune)
 
     p_restore = sub.add_parser("restore", help="scatter learned rows back into the full matrix")

@@ -93,7 +93,7 @@ def validate_matrix(matrix: EmbeddingMatrix) -> ValidationSummary:
 def prune_embeddings(matrix: EmbeddingMatrix, remap: RemapTable) -> EmbeddingMatrix:
     """Gather the kept rows into a compact matrix.
 
-    Output row ``forward[i]`` is a bit-identical copy of input row ``i``;
+    Output row ``d`` is a bit-identical copy of input row ``remap.inverse[d]``;
     the input is left untouched. An empty remap yields a valid ``0 x dim``
     matrix.
     """

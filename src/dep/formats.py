@@ -21,6 +21,7 @@ Embedding matrix, magic ``DEPE``::
 
 A dataset path ending in ``.txt`` uses the text form instead: one sequence
 per line, space-separated decimal ids (an empty line is an empty sequence).
+Only ``\n`` ends a line; other ASCII whitespace separates ids like a space.
 Text is meant for fixtures and debugging, binary for large corpora.
 
 Remaps are JSON objects ``{original_vocab_size, ordering, keep_tokens,
@@ -197,10 +198,12 @@ def _plain_ascii(text: str) -> bool:
 
 def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
     text = _read_utf8(path, "text dataset")
+    lines = text.split("\n")
+    if lines[-1] == "":  # the tail after a final newline, or an empty file
+        lines.pop()
     if not _plain_ascii(text):
-        line_no = next(n for n, line in enumerate(text.splitlines(True), start=1) if not _plain_ascii(line))
+        line_no = next(n for n, line in enumerate(lines, start=1) if not _plain_ascii(line))
         raise FormatError(f"line {line_no}: token ids must be decimal integers")
-    lines = text.splitlines()
     del text  # the ids take more memory than the text; do not hold both
     ids: list[int] = []
     lengths = []
@@ -323,36 +326,9 @@ def write_report(report: PruneReport, path) -> None:
     Path(path).write_text(report_to_json(report), encoding="utf-8")
 
 
-_REPORT_TYPES = {"original_vocab": int, "reduced_vocab": int, "pr_emb": float, "pr_all": float, "poep": float,
-                 "bytes_saved": int, "config_name": str, "timestamp": str}
-
-
-def read_report(path) -> PruneReport:
-    obj = _read_json_object(path, "report file")
-    _check_types(obj, _REPORT_TYPES, "report file")
-    try:
-        return PruneReport.from_json_dict(obj)
-    except KeyError as err:
-        raise FormatError(f"report file missing key {err}") from None
-
-
 def write_growth_csv(curve: GrowthCurve, path) -> None:
     lines = ["tokens,unique"] + [f"{n},{u}" for n, u in curve.points]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def read_growth_csv(path) -> list[tuple[int, int]]:
-    lines = _read_utf8(path, "growth curve CSV").splitlines()
-    if not lines or lines[0] != "tokens,unique":
-        raise FormatError("growth curve CSV must start with header 'tokens,unique'")
-    points = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        try:
-            points.append((int(fields[0]), int(fields[1])))
-        except (IndexError, ValueError):
-            raise FormatError(f"line {line_no}: expected 'tokens,unique' integers") from None
-    return points
 
 
 def write_json(obj, path) -> None:

@@ -153,19 +153,6 @@ class PruneReport:
             "timestamp": self.timestamp,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PruneReport":
-        return cls(
-            original_vocab=int(obj["original_vocab"]),
-            reduced_vocab=int(obj["reduced_vocab"]),
-            pr_emb=float(obj["pr_emb"]),
-            pr_all=float(obj["pr_all"]),
-            poep=float(obj["poep"]),
-            bytes_saved=int(obj["bytes_saved"]),
-            config_name=str(obj["config_name"]),
-            timestamp=str(obj["timestamp"]),
-        )
-
 
 def report_from_counts(
     original_vocab: int,

@@ -14,15 +14,13 @@ flat position is turned back into a (sequence, position) pair only to
 report an error.
 
 All types are immutable after construction (arrays are stored as read-only
-views) and safe to share between threads. Scanning may run concurrently
-over disjoint token ranges because partial counts merge by plain
-elementwise addition.
+views) and safe to share between threads. Counting runs on one thread over
+fixed-size slices of ``tokens``, so its temporaries stay bounded whatever
+the corpus size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -37,6 +35,8 @@ TOKEN_DTYPE = np.uint32
 COUNT_DTYPE = np.uint64
 # Forward-LUT entry of an id outside the remap domain; never below reduced_size.
 _UNMAPPED = np.iinfo(TOKEN_DTYPE).max
+# Tokens counted per bincount call; bounds its int64 temporaries.
+_COUNT_CHUNK = 1 << 20
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -222,10 +222,9 @@ class RemapOrdering(str, Enum):
 class RemapTable:
     """Bijection between kept original ids and dense ids ``0..n-1``.
 
-    ``inverse[dense_id]`` is the original id assigned to ``dense_id``;
-    :attr:`forward` is the opposite direction. ``ordering`` records how
-    dense ids were assigned, ``keep_tokens`` which ids were retained
-    regardless of occurrence.
+    ``inverse[dense_id]`` is the original id assigned to ``dense_id``.
+    ``ordering`` records how dense ids were assigned, ``keep_tokens`` which
+    ids were retained regardless of occurrence; each must be a mapped id.
     """
 
     original_vocab_size: int
@@ -249,18 +248,17 @@ class RemapTable:
             repeated = ids[1:][ids[1:] == ids[:-1]]
             if repeated.size:
                 raise ValueError(f"id {int(repeated[0])} is mapped twice (mapping must be bijective)")
+        keep = tuple(int(t) for t in self.keep_tokens)
+        unmapped = set(keep).difference(arr.tolist() if keep else ())
+        if unmapped:
+            raise ValueError(f"keep token {min(unmapped)} is not a mapped id")
         object.__setattr__(self, "inverse", _read_only(np.ascontiguousarray(arr, dtype=TOKEN_DTYPE)))
         object.__setattr__(self, "ordering", RemapOrdering(self.ordering))
-        object.__setattr__(self, "keep_tokens", tuple(int(t) for t in self.keep_tokens))
+        object.__setattr__(self, "keep_tokens", keep)
 
     @property
     def reduced_size(self) -> int:
         return int(self.inverse.size)
-
-    @cached_property
-    def forward(self) -> dict[int, int]:
-        """Original id to dense id mapping (the domain is the kept set)."""
-        return {int(orig): dense for dense, orig in enumerate(self.inverse.tolist())}
 
     @cached_property
     def _forward_lut(self) -> np.ndarray:
@@ -281,34 +279,26 @@ class RemapTable:
         )
 
 
-def _count_ids(tokens: np.ndarray, vocab_size: int) -> np.ndarray:
-    return np.bincount(tokens, minlength=vocab_size).astype(COUNT_DTYPE)
-
-
 def scan_dataset(dataset: TokenizedDataset) -> FrequencyTable:
     """Count occurrences of every vocabulary id across the whole dataset."""
-    return FrequencyTable(_count_ids(dataset.tokens, dataset.vocab_size))
+    tokens, vocab_size = dataset.tokens, dataset.vocab_size
+    counts = np.zeros(vocab_size, dtype=COUNT_DTYPE)
+    for start in range(0, tokens.size, _COUNT_CHUNK):
+        chunk = tokens[start:start + _COUNT_CHUNK]
+        # numpy will not add int64 into uint64 in place, so cast each slice's counts.
+        counts += np.bincount(chunk, minlength=vocab_size).astype(COUNT_DTYPE)
+    return FrequencyTable(counts)
 
 
 def scan_dataset_parallel(dataset: TokenizedDataset, partitions: int | None = None) -> FrequencyTable:
-    """Scan with the token array split into contiguous ranges, counted on threads.
+    """:func:`scan_dataset`, for callers that pass a partition count.
 
-    The result is identical to :func:`scan_dataset` for every partition
-    count: partial counts merge by elementwise addition, which is
-    associative and commutative.
+    ``partitions`` (``>= 1`` when given) is accepted for compatibility and
+    never changes the result; counting runs on one thread in bounded slices.
     """
-    if partitions is None:
-        partitions = os.cpu_count() or 1
-    if partitions < 1:
+    if partitions is not None and partitions < 1:
         raise ValueError("partitions must be >= 1")
-    tokens = dataset.tokens
-    if partitions == 1 or tokens.size <= 1:
-        return scan_dataset(dataset)
-    bounds = [tokens.size * k // partitions for k in range(partitions + 1)]
-    chunks = [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=min(partitions, os.cpu_count() or 1)) as pool:
-        partials = list(pool.map(_count_ids, chunks, [dataset.vocab_size] * partitions))
-    return FrequencyTable(sum(partials))
+    return scan_dataset(dataset)
 
 
 def build_remap(
@@ -338,7 +328,7 @@ def build_remap(
 
 
 def apply_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDataset:
-    """Rewrite every token id through ``remap.forward``.
+    """Rewrite every original token id to its dense id in ``remap``.
 
     Sequence structure is preserved exactly; the output declares the
     reduced vocabulary size. An id outside the mapping domain raises

@@ -55,7 +55,7 @@ class TestGrowthCurve:
 
     def test_empty_dataset_gives_empty_curve(self):
         curve = growth_curve(TokenizedDataset((), 10))
-        assert curve.is_empty
+        assert curve.points == ()
         assert curve.final_unique == 0
 
     def test_pow2_policy_includes_final(self):
@@ -153,12 +153,6 @@ class TestFitHeaps:
             curve = GrowthCurve(tuple(zip(positions.tolist(), values.tolist())), int(positions[-1]))
             fit = fit_heaps(curve)
             assert abs(fit.beta - beta_true) < 0.05
-
-    def test_predict_is_non_decreasing(self):
-        fit = fit_heaps(GrowthCurve(((4, 4), (16, 8), (64, 16)), 100))
-        grid = np.linspace(1, 1e6, 50)
-        predicted = fit.predict(grid)
-        assert bool(np.all(np.diff(predicted) >= 0))
 
 
 class TestCoverage:

@@ -52,7 +52,7 @@ class TestAnalyze:
         assert stats["used_tokens"] == 3
         assert stats["top_tokens"] == [[2, 2], [1, 1], [4, 1]]
         assert stats["unused_tokens"] == [0, 3, 5]
-        assert formats.read_growth_csv(out / "growth.csv") == [(1, 1), (2, 2), (3, 2), (4, 3)]
+        assert (out / "growth.csv").read_bytes() == b"tokens,unique\n1,1\n2,2\n3,2\n4,3\n"
 
     def test_empty_dataset(self, tmp_path):
         empty = tmp_path / "empty.txt"
@@ -156,7 +156,7 @@ class TestPrune:
         pruned = formats.read_embeddings(out / "pruned_embeddings.depe")
         assert pruned.rows == 4  # used {1,3,5} plus keep {0}
         remap = formats.read_remap(out / "remap.json")
-        assert remap.forward == {0: 0, 1: 1, 3: 2, 5: 3}
+        assert remap.inverse.tolist() == [0, 1, 3, 5]
         assert remap.keep_tokens == (0,)
         remapped = formats.read_dataset_binary(out / "pruned_dataset.dept")
         assert remapped.vocab_size == 4
@@ -330,6 +330,9 @@ class TestMalformedRemap:
         pytest.param(lambda obj: {**obj, "original_vocab_size": True}, id="vocab-size-boolean"),
         pytest.param(lambda obj: {**obj, "keep_tokens": [True]}, id="keep-tokens-boolean"),
         pytest.param(lambda obj: {**obj, "pairs": [[True, 0], *obj["pairs"][1:]]}, id="pairs-boolean-id"),
+        pytest.param(lambda obj: {**obj, "keep_tokens": [-5]}, id="keep-tokens-negative"),
+        pytest.param(lambda obj: {**obj, "keep_tokens": [999999]}, id="keep-tokens-past-vocab"),
+        pytest.param(lambda obj: {**obj, "keep_tokens": [7]}, id="keep-tokens-unmapped"),
     ])
     def test_exits_2_or_3(self, pruned_run, tmp_path, change):
         matrix_path, pruned, config_path, blob = pruned_run

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -68,6 +69,27 @@ class TestDatasetFiles:
         dataset = formats.read_dataset_text(path)
         assert dataset.num_sequences == 0
         assert dataset.vocab_size == 0
+
+    @pytest.mark.parametrize("text, sequences", [
+        ("1 2\x0c3", [[1, 2, 3]]),
+        ("1 2\r\n3\r\n", [[1, 2], [3]]),
+        ("1\t2\n3\n", [[1, 2], [3]]),
+        ("", []),
+        ("1\n\n", [[1], []]),
+        ("1\r2\n", [[1, 2]]),
+        ("1\x0b2\x1c3\x1d4\x1e5\x1f6\n", [[1, 2, 3, 4, 5, 6]]),
+    ], ids=["form-feed", "crlf", "tab", "empty-file", "trailing-empty-line", "lone-cr", "other-controls"])
+    def test_text_only_newline_ends_a_line(self, tmp_path, text, sequences):
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode("ascii"))
+        assert formats.read_dataset_text(path, 8).to_lists() == sequences
+
+    @pytest.mark.parametrize("bad", [b"x", "\uff13".encode("utf-8")], ids=["word", "full-width-digit"])
+    def test_text_error_after_form_feed_is_line_1(self, tmp_path, bad):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1\x0c2 " + bad + b"\n3\n")
+        with pytest.raises(FormatError, match="^line 1: "):
+            formats.read_dataset_text(path, 8)
 
     def test_text_non_integer_rejected(self, tmp_path):
         path = tmp_path / "data.txt"
@@ -250,7 +272,7 @@ class TestRemapFiles:
         formats.write_remap(remap, path)
         loaded = formats.read_remap(path)
         assert loaded == remap
-        assert loaded.forward == {5: 0, 2: 1, 9: 2}
+        assert loaded.inverse.tolist() == [5, 2, 9]
 
     def test_empty_roundtrip(self, tmp_path):
         remap = RemapTable(4, [])
@@ -311,6 +333,15 @@ class TestRemapFiles:
         with pytest.raises(FormatError, match="JSON int"):
             formats.read_remap(path)
 
+    @pytest.mark.parametrize("keep", [[-5], [999999], [7]], ids=["negative", "past-vocab", "unmapped"])
+    def test_keep_token_must_be_mapped(self, tmp_path, keep):
+        path = tmp_path / "remap.json"
+        path.write_text(json.dumps({
+            "original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": keep, "pairs": [[1, 0], [3, 1]],
+        }))
+        with pytest.raises(RemapInconsistent, match=f"keep token {keep[0]} "):
+            formats.read_remap(path)
+
     def test_unknown_ordering(self, tmp_path):
         import json
 
@@ -331,14 +362,13 @@ class TestReportAndCurveFiles:
         report = report_from_counts(100, 40, config, timestamp="2024-06-01T00:00:00Z")
         path = tmp_path / "report.json"
         formats.write_report(report, path)
-        assert formats.read_report(path) == report
+        assert json.loads(path.read_text()) == report.to_json_dict()
 
     def test_growth_csv_roundtrip(self, tmp_path):
         curve = GrowthCurve(((1, 1), (2, 2), (4, 3)), 10)
         path = tmp_path / "growth.csv"
         formats.write_growth_csv(curve, path)
-        assert path.read_text().splitlines()[0] == "tokens,unique"
-        assert formats.read_growth_csv(path) == [(1, 1), (2, 2), (4, 3)]
+        assert path.read_bytes() == b"tokens,unique\n1,1\n2,2\n4,3\n"
 
     @pytest.mark.parametrize("change", [
         pytest.param(lambda obj: [obj], id="top-level-list"),
@@ -350,29 +380,24 @@ class TestReportAndCurveFiles:
         pytest.param(lambda obj: {**obj, "config_name": 5}, id="str-as-int"),
         pytest.param(lambda obj: {k: v for k, v in obj.items() if k != "timestamp"}, id="missing-key"),
     ])
-    def test_malformed_report_is_format_error(self, tmp_path, change):
+    def test_malformed_report_is_format_error(self, change):
+        """Nothing reads a report back; the shipped schema, its contract, rejects each malformed one."""
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(resources.files("dep").joinpath("report_schema.json").read_text())
         config = ModelConfig(100, 8, 2, 2, max_positions=4, type_vocab=1, name="toy")
         obj = report_from_counts(100, 40, config, timestamp="2024-06-01T00:00:00Z").to_json_dict()
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(change(obj)))
-        with pytest.raises(FormatError):
-            formats.read_report(path)
+        jsonschema.validate(obj, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(change(obj), schema)
 
     @pytest.mark.parametrize("reader", [
-        formats.read_dataset_text, formats.read_growth_csv, formats.read_remap, formats.read_report,
-        formats.read_model_config,
+        formats.read_dataset_text, formats.read_remap, formats.read_model_config,
     ])
     def test_undecodable_utf8_is_format_error(self, tmp_path, reader):
         path = tmp_path / "input"
         path.write_bytes(b"tokens,unique\n\xff\n")
         with pytest.raises(FormatError):
             reader(path)
-
-    def test_growth_csv_bad_header(self, tmp_path):
-        path = tmp_path / "growth.csv"
-        path.write_text("a,b\n1,1\n")
-        with pytest.raises(FormatError):
-            formats.read_growth_csv(path)
 
 
 class TestModelConfigFiles:

@@ -1,4 +1,4 @@
-"""Smoke test of the demo scripts: generate a corpus, then drive the CLI pipeline on it."""
+"""Smoke tests of the scripts: the demo corpus and pipeline, and the savings grid."""
 
 import os
 import subprocess
@@ -8,9 +8,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_demo_data_then_pipeline(tmp_path):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_demo_data_then_pipeline(tmp_path):
+    env = _env()
     data, work = tmp_path / "demo_data", tmp_path / "demo_run"
     subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "make_demo_data.py"), "--out", str(data)],
@@ -23,3 +28,12 @@ def test_demo_data_then_pipeline(tmp_path):
     )
     assert "identity restore byte-identical: True" in result.stdout
     assert (work / "report" / "report.json").is_file()
+
+
+def test_savings_grid_bert_base_row(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "savings_grid.py")],
+        check=True, env=_env(), cwd=tmp_path, timeout=120, capture_output=True, text=True,
+    )
+    rows = {line.split()[0]: line.split()[1:] for line in result.stdout.splitlines()[2:]}
+    assert rows["bert-base"] == ["109.5M", "21.4%", "21.2%", "20.3%", "19.3%", "16.1%", "10.7%", "5.4%", "0.0%"]

@@ -1,5 +1,7 @@
 """Frequency scanning, merging, and the dense-id remap bijection."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from dep import (
     invert_remap,
     scan_dataset,
     scan_dataset_parallel,
+    vocab,
 )
 
 from _strategies import datasets_with_remaps, orderings, token_datasets
@@ -65,27 +68,30 @@ class TestScanDataset:
 
 
 class TestMergeFrequencyTables:
-    """Per-thread partial counts merge into the whole-corpus table."""
+    """Counts added up slice by slice equal the whole-corpus table."""
 
-    @given(token_datasets(), st.sampled_from([1, 2, 3, 8]))
-    def test_scan_parallel_matches_scan(self, dataset, partitions):
-        assert scan_dataset_parallel(dataset, partitions) == scan_dataset(dataset)
+    @given(token_datasets(), st.sampled_from([1, 2, 3, 8]), st.sampled_from([1, 2, 3, 7, 1 << 20]))
+    def test_scan_parallel_matches_scan(self, dataset, partitions, chunk):
+        expected = naive_counts(dataset.to_lists(), dataset.vocab_size)
+        with patch.object(vocab, "_COUNT_CHUNK", chunk):
+            assert scan_dataset_parallel(dataset, partitions) == scan_dataset(dataset)
+            assert scan_dataset(dataset).counts.tolist() == expected
 
 
 class TestBuildRemap:
     def test_ascending_skips_unused(self):
         remap = build_remap(FrequencyTable([0, 3, 0, 1]))
-        assert remap.forward == {1: 0, 3: 1}
+        assert remap.inverse.tolist() == [1, 3]
 
     def test_frequency_descending_with_id_tiebreak(self):
         counts = [0] * 10
         counts[5], counts[2], counts[9] = 10, 3, 3
         remap = build_remap(FrequencyTable(counts), RemapOrdering.FREQUENCY_DESCENDING)
-        assert remap.forward == {5: 0, 2: 1, 9: 2}
+        assert remap.inverse.tolist() == [5, 2, 9]
 
     def test_keep_token_included_with_zero_count(self):
         remap = build_remap(FrequencyTable([0, 3, 0, 1]), keep_tokens={0})
-        assert remap.forward == {0: 0, 1: 1, 3: 2}
+        assert remap.inverse.tolist() == [0, 1, 3]
 
     def test_keep_token_out_of_range(self):
         with pytest.raises(KeepTokenOutOfRange):
@@ -93,21 +99,19 @@ class TestBuildRemap:
 
     def test_identity_when_everything_used(self):
         remap = build_remap(FrequencyTable([5, 1, 2]))
-        assert remap.forward == {0: 0, 1: 1, 2: 2}
+        assert remap.inverse.tolist() == [0, 1, 2]
 
     def test_zero_count_keep_sorts_last_in_frequency_order(self):
         remap = build_remap(
             FrequencyTable([0, 7, 0, 2]), RemapOrdering.FREQUENCY_DESCENDING, keep_tokens={0, 2}
         )
-        assert remap.forward == {1: 0, 3: 1, 0: 2, 2: 3}
+        assert remap.inverse.tolist() == [1, 3, 0, 2]
 
     @given(datasets_with_remaps())
     def test_bijectivity(self, instance):
         _, remap = instance
-        forward = remap.forward
-        assert sorted(forward.values()) == list(range(remap.reduced_size))
-        for dense, orig in enumerate(remap.inverse.tolist()):
-            assert forward[orig] == dense
+        kept = TokenizedDataset((remap.inverse,), remap.original_vocab_size)
+        assert apply_remap(kept, remap).tokens.tolist() == list(range(remap.reduced_size))
         assert remap.reduced_size <= remap.original_vocab_size
 
     @given(token_datasets(), orderings)
@@ -115,7 +119,7 @@ class TestBuildRemap:
         freqs = scan_dataset(dataset)
         keep = {0, dataset.vocab_size - 1}
         remap = build_remap(freqs, ordering, keep)
-        assert set(remap.forward) == set(freqs.used_ids.tolist()) | keep
+        assert set(remap.inverse.tolist()) == set(freqs.used_ids.tolist()) | keep
 
 
 class TestApplyInvertRemap:
@@ -175,7 +179,7 @@ class TestApplyInvertRemap:
             dataset.sequences + (np.arange(dataset.vocab_size),), dataset.vocab_size
         )
         remap = build_remap(scan_dataset(full))
-        assert remap.forward == {i: i for i in range(full.vocab_size)}
+        assert remap.inverse.tolist() == list(range(full.vocab_size))
         assert apply_remap(full, remap) == full
 
 
