@@ -10,7 +10,7 @@ identical output bytes, including across different ``--partitions`` values
     2  input parse or validation failure
     3  shape or consistency mismatch
     4  output exists (no --force) or is unwritable
-    5  missing input file
+    5  missing or unreadable input
 
 Set ``DEP_LOG=debug|info|warning|error`` to control log verbosity.
 """
@@ -46,28 +46,6 @@ log = logging.getLogger("dep")
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
-EXIT_PARSE = 2
-EXIT_SHAPE = 3
-EXIT_OUTPUT = 4
-EXIT_MISSING = 5
-
-_EXIT_BY_CODE = {
-    "BAD_MAGIC": EXIT_PARSE,
-    "BAD_FORMAT": EXIT_PARSE,
-    "UNSUPPORTED_VERSION": EXIT_PARSE,
-    "OUT_OF_RANGE_TOKEN": EXIT_PARSE,
-    "UNMAPPED_TOKEN": EXIT_PARSE,
-    "KEEP_TOKEN_OUT_OF_RANGE": EXIT_PARSE,
-    "INVALID_COUNTS": EXIT_PARSE,
-    "INSUFFICIENT_POINTS": EXIT_PARSE,
-    "DEGENERATE_FIT": EXIT_PARSE,
-    "SHAPE_MISMATCH": EXIT_SHAPE,
-    "REMAP_INCONSISTENT": EXIT_SHAPE,
-    "INCONSISTENT_INPUTS": EXIT_SHAPE,
-    "OUTPUT_EXISTS": EXIT_OUTPUT,
-    "UNWRITABLE_OUTPUT": EXIT_OUTPUT,
-    "MISSING_INPUT": EXIT_MISSING,
-}
 
 
 def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
@@ -79,12 +57,12 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
     leaves the previous set untouched.
     """
     paths = [args.out / name for name in outputs]
-    for path in paths:
-        if path.exists() and not args.force:
-            raise OutputExists(path)
-        if path.is_dir():
-            raise UnwritableOutput(path, "is a directory")
     try:
+        for path in paths:
+            if path.exists() and not args.force:
+                raise OutputExists(path)
+            if path.is_dir():
+                raise UnwritableOutput(path, "is a directory")
         args.out.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(prefix=".dep-", dir=args.out))
     except OSError as err:
@@ -101,15 +79,8 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _load_dataset(args: argparse.Namespace, default_vocab: int | None = None):
-    vocab = args.vocab_size
-    if vocab is None and formats.is_text_dataset(args.dataset):
-        vocab = default_vocab
-    return formats.read_dataset(args.dataset, vocab)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args)
+    dataset = formats.read_dataset(args.dataset, args.vocab_size)
     freqs = scan_dataset_parallel(dataset, args.partitions)
     coverage = coverage_ratio(freqs) if freqs.vocab_size >= 1 else 0.0
     curve = growth_curve(dataset, args.checkpoints)
@@ -120,7 +91,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         heaps = None
     unused = find_unused_tokens(freqs)
     used = freqs.used_ids
-    used_counts = freqs.counts[used].astype("int64")
+    used_counts = freqs.counts[used]
     top_order = (-used_counts).argsort(kind="stable")[:10]  # ties stay id-ascending
     stats = {
         "dataset": str(args.dataset),
@@ -145,7 +116,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_prune(args: argparse.Namespace) -> int:
     matrix = formats.read_embeddings(args.embeddings)
-    dataset = _load_dataset(args, default_vocab=matrix.rows)
+    vocab = args.vocab_size
+    if vocab is None and formats.is_text_dataset(args.dataset):
+        vocab = matrix.rows
+    dataset = formats.read_dataset(args.dataset, vocab)
     if dataset.vocab_size != matrix.rows:
         raise ShapeMismatch(
             f"dataset vocab_size {dataset.vocab_size} does not match "
@@ -303,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except DepError as err:
         print(f"{err.code}: {err}", file=sys.stderr)
-        return _EXIT_BY_CODE.get(err.code, EXIT_INTERNAL)
+        return err.exit_status
     except Exception as err:  # pragma: no cover - defensive catch-all
         log.exception("internal error")
         print(f"INTERNAL_ERROR: {err}", file=sys.stderr)

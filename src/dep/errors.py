@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
-Every error carries a stable machine-readable ``code``. The CLI prints
-errors as ``CODE: message`` on stderr and maps codes to exit statuses.
+Every error carries a stable machine-readable ``code`` and the CLI exit
+status it maps to. The CLI prints errors as ``CODE: message`` on stderr
+and exits with ``exit_status``.
 """
 
 from __future__ import annotations
@@ -11,12 +12,14 @@ class DepError(Exception):
     """Base class for all toolkit errors."""
 
     code = "ERROR"
+    exit_status = 1
 
 
 class OutOfRangeToken(DepError):
     """A token id is not smaller than the declared vocabulary size."""
 
     code = "OUT_OF_RANGE_TOKEN"
+    exit_status = 2
 
     def __init__(self, sequence_index: int, position: int, token_id: int, vocab_size: int):
         self.sequence_index = sequence_index
@@ -33,6 +36,7 @@ class UnmappedToken(DepError):
     """A token id has no entry in the remap (remap built from another corpus)."""
 
     code = "UNMAPPED_TOKEN"
+    exit_status = 2
 
     def __init__(self, sequence_index: int, position: int, token_id: int):
         self.sequence_index = sequence_index
@@ -48,6 +52,7 @@ class KeepTokenOutOfRange(DepError):
     """A requested keep token lies outside the vocabulary."""
 
     code = "KEEP_TOKEN_OUT_OF_RANGE"
+    exit_status = 2
 
     def __init__(self, token_id: int, vocab_size: int):
         self.token_id = token_id
@@ -59,12 +64,14 @@ class ShapeMismatch(DepError):
     """Matrix and remap (or matrices) disagree on a dimension."""
 
     code = "SHAPE_MISMATCH"
+    exit_status = 3
 
 
 class InsufficientPoints(DepError):
     """Too few usable points to fit a power law."""
 
     code = "INSUFFICIENT_POINTS"
+    exit_status = 2
 
     def __init__(self, usable: int):
         self.usable = usable
@@ -75,12 +82,14 @@ class DegenerateFit(DepError):
     """Zero variance in token counts makes the power-law slope undefined."""
 
     code = "DEGENERATE_FIT"
+    exit_status = 2
 
 
 class InvalidCounts(DepError):
     """Vocabulary counts violate 0 <= reduced <= original, original >= 1."""
 
     code = "INVALID_COUNTS"
+    exit_status = 2
 
     def __init__(self, original_vocab: int, reduced_vocab: int):
         self.original_vocab = original_vocab
@@ -92,6 +101,7 @@ class InconsistentInputs(DepError):
     """Two report inputs disagree on a shared quantity."""
 
     code = "INCONSISTENT_INPUTS"
+    exit_status = 3
 
     def __init__(self, name_a: str, value_a, name_b: str, value_b):
         self.name_a, self.value_a = name_a, value_a
@@ -103,12 +113,14 @@ class RemapInconsistent(DepError):
     """A remap file is malformed or references ids outside its vocabulary."""
 
     code = "REMAP_INCONSISTENT"
+    exit_status = 3
 
 
 class BadMagic(DepError):
     """A binary file does not start with the expected magic bytes."""
 
     code = "BAD_MAGIC"
+    exit_status = 2
 
     def __init__(self, expected: bytes, found: bytes):
         self.expected = expected
@@ -120,6 +132,7 @@ class UnsupportedVersion(DepError):
     """A binary file declares a format version this build cannot read."""
 
     code = "UNSUPPORTED_VERSION"
+    exit_status = 2
 
     def __init__(self, found: int, supported: int):
         self.found = found
@@ -131,22 +144,25 @@ class FormatError(DepError):
     """A file is structurally invalid (truncated, non-numeric, wrong field)."""
 
     code = "BAD_FORMAT"
+    exit_status = 2
 
 
 class MissingInput(DepError):
-    """A required input file does not exist."""
+    """An input file cannot be opened or read (missing, a directory, a bad path, a read error)."""
 
     code = "MISSING_INPUT"
+    exit_status = 5
 
-    def __init__(self, path):
+    def __init__(self, path, reason: str):
         self.path = path
-        super().__init__(f"input file not found: {path}")
+        super().__init__(f"cannot read input file: {path} ({reason})")
 
 
 class OutputExists(DepError):
     """Refusing to overwrite an existing output without --force."""
 
     code = "OUTPUT_EXISTS"
+    exit_status = 4
 
     def __init__(self, path):
         self.path = path
@@ -157,6 +173,7 @@ class UnwritableOutput(DepError):
     """An output path could not be written."""
 
     code = "UNWRITABLE_OUTPUT"
+    exit_status = 4
 
     def __init__(self, path, reason: str = ""):
         self.path = path

@@ -30,8 +30,8 @@ JSON keeps them auditable and they hold at most one pair per vocabulary
 entry. Writers emit a fixed key order so identical inputs give identical
 bytes.
 
-Every reader opens its input through ``_open``, so a missing path or a
-directory is :class:`MissingInput`; text that is not UTF-8 or not the
+Every reader opens its input through ``_open``, so an input that cannot be
+opened or read is :class:`MissingInput`; text that is not UTF-8 or not the
 expected JSON object is :class:`FormatError`.
 """
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -70,12 +71,14 @@ _MAX_VOCAB_SIZE = 2**32  # ids are u32
 _WRITE_CHUNK_WORDS = 1 << 20  # bounds the writer's temporaries
 
 
+@contextmanager
 def _open(path):
-    """Open an input for reading; a path that names no file is :class:`MissingInput`."""
+    """An input opened for reading; any OS error while opening or reading it is :class:`MissingInput`."""
     try:
-        return open(path, "rb")
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise MissingInput(path) from None
+        with open(path, "rb") as handle:
+            yield handle
+    except OSError as err:
+        raise MissingInput(path, err.strerror) from None
 
 
 def _read_container(path, header: struct.Struct, magic: bytes, dtype) -> tuple[tuple, np.ndarray]:

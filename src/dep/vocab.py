@@ -31,8 +31,8 @@ import numpy as np
 from .errors import KeepTokenOutOfRange, OutOfRangeToken, UnmappedToken
 
 TOKEN_DTYPE = np.uint32
-# 64-bit counts: corpora can exceed 2**32 tokens.
-COUNT_DTYPE = np.uint64
+# 64-bit counts, as bincount returns them: corpora can exceed 2**32 tokens.
+COUNT_DTYPE = np.int64
 # Forward-LUT entry of an id outside the remap domain; never below reduced_size.
 _UNMAPPED = np.iinfo(TOKEN_DTYPE).max
 # Tokens counted per bincount call; bounds its int64 temporaries.
@@ -182,11 +182,12 @@ class FrequencyTable:
             arr = np.empty(0, dtype=COUNT_DTYPE)
         if arr.ndim != 1:
             raise ValueError("counts must be one-dimensional")
-        if arr.dtype.kind == "i" and arr.size and bool((arr < 0).any()):
-            raise ValueError("counts must be non-negative")
         if arr.dtype.kind not in "iu":
             raise TypeError(f"counts must be integers, got dtype {arr.dtype}")
-        object.__setattr__(self, "counts", _read_only(np.ascontiguousarray(arr, dtype=COUNT_DTYPE)))
+        arr = np.ascontiguousarray(arr, dtype=COUNT_DTYPE)  # a uint64 count past int64 wraps negative
+        if arr.size and bool((arr < 0).any()):
+            raise ValueError("counts must be non-negative")
+        object.__setattr__(self, "counts", _read_only(arr))
 
     @property
     def vocab_size(self) -> int:
@@ -262,9 +263,10 @@ class RemapTable:
 
     @cached_property
     def _forward_lut(self) -> np.ndarray:
-        # Dense ids over the full original vocab, uint32 so a gather through it
-        # needs no wider temporary; unmapped ids hold _UNMAPPED.
-        lut = np.full(self.original_vocab_size, _UNMAPPED, dtype=TOKEN_DTYPE)
+        # Dense ids over the full original vocab plus one last entry for every
+        # id beyond it, uint32 so a gather through it needs no wider temporary;
+        # unmapped ids hold _UNMAPPED.
+        lut = np.full(self.original_vocab_size + 1, _UNMAPPED, dtype=TOKEN_DTYPE)
         lut[self.inverse] = np.arange(self.reduced_size, dtype=TOKEN_DTYPE)
         return _read_only(lut)
 
@@ -284,9 +286,7 @@ def scan_dataset(dataset: TokenizedDataset) -> FrequencyTable:
     tokens, vocab_size = dataset.tokens, dataset.vocab_size
     counts = np.zeros(vocab_size, dtype=COUNT_DTYPE)
     for start in range(0, tokens.size, _COUNT_CHUNK):
-        chunk = tokens[start:start + _COUNT_CHUNK]
-        # numpy will not add int64 into uint64 in place, so cast each slice's counts.
-        counts += np.bincount(chunk, minlength=vocab_size).astype(COUNT_DTYPE)
+        counts += np.bincount(tokens[start:start + _COUNT_CHUNK], minlength=vocab_size)
     return FrequencyTable(counts)
 
 
@@ -322,8 +322,7 @@ def build_remap(
     domain = np.union1d(freqs.used_ids, np.asarray(keep, dtype=np.int64))
     if ordering is RemapOrdering.FREQUENCY_DESCENDING and domain.size:
         # Stable sort on a domain already ascending by id gives the id tie-break.
-        domain_counts = freqs.counts[domain].astype(np.int64)
-        domain = domain[np.argsort(-domain_counts, kind="stable")]
+        domain = domain[np.argsort(-freqs.counts[domain], kind="stable")]
     return RemapTable(freqs.vocab_size, domain, ordering, tuple(keep))
 
 
@@ -335,24 +334,14 @@ def apply_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDatase
     :class:`UnmappedToken`, which signals a remap built from a different
     corpus.
     """
-    tokens, lut, reduced = dataset.tokens, remap._forward_lut, remap.reduced_size
-    if tokens.size and int(tokens.max()) >= lut.size:
-        raise _unmapped(dataset, lut, reduced)
-    mapped = lut[tokens]
-    if mapped.size and int(mapped.max()) >= reduced:
-        raise _unmapped(dataset, lut, reduced)
-    return TokenizedDataset.from_flat(mapped, dataset.offsets, reduced)
-
-
-def _unmapped(dataset: TokenizedDataset, lut: np.ndarray, reduced: int) -> UnmappedToken:
-    """The error for the first id that ``lut`` does not map below ``reduced``."""
-    tokens = dataset.tokens
-    inside = tokens < lut.size
-    bad = ~inside
-    bad[inside] = lut[tokens[inside]] >= reduced
-    flat_pos = int(np.argmax(bad))
-    seq, pos = _locate(dataset.offsets, flat_pos)
-    return UnmappedToken(seq, pos, int(tokens[flat_pos]))
+    tokens, lut = dataset.tokens, remap._forward_lut
+    if tokens.size and int(tokens.max()) >= lut.size:  # only a foreign corpus gets here
+        tokens = np.minimum(tokens, lut.size - 1)
+    try:
+        return TokenizedDataset.from_flat(lut[tokens], dataset.offsets, remap.reduced_size)
+    except OutOfRangeToken as err:  # report the original id, not its _UNMAPPED entry
+        flat_pos = int(dataset.offsets[err.sequence_index]) + err.position
+        raise UnmappedToken(err.sequence_index, err.position, int(dataset.tokens[flat_pos])) from None
 
 
 def invert_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDataset:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dep import EmbeddingMatrix, TokenizedDataset, formats
+from dep import EmbeddingMatrix, TokenizedDataset, errors, formats
 from dep.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -447,12 +447,66 @@ class TestInputBoundary:
         assert run(*argv) == 5
         assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("MISSING_INPUT: ")
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["analyze", "--dataset", "bad"], id="analyze-dataset"),
+        pytest.param(["analyze", "--dataset", "bad.txt"], id="analyze-text-dataset"),
+        pytest.param(["prune", "--dataset", "bad", "--embeddings", "embeddings"], id="prune-dataset"),
+        pytest.param(["prune", "--dataset", "dataset", "--embeddings", "bad"], id="prune-embeddings"),
+        pytest.param(["restore", "--embeddings", "bad", "--learned", "learned", "--remap", "remap"],
+                     id="restore-embeddings"),
+        pytest.param(["restore", "--embeddings", "embeddings", "--learned", "bad", "--remap", "remap"],
+                     id="restore-learned"),
+        pytest.param(["restore", "--embeddings", "embeddings", "--learned", "learned", "--remap", "bad"],
+                     id="restore-remap"),
+        pytest.param(["report", "--remap", "bad", "--model-config", "config"], id="report-remap"),
+        pytest.param(["report", "--remap", "remap", "--model-config", "bad"], id="report-config"),
+        pytest.param(["count-params", "--model-config", "bad"], id="count-params-config"),
+    ])
+    @pytest.mark.parametrize("kind", ["symlink-loop", "long-name"])
+    def test_unopenable_input_exits_5(self, pruned_run, tmp_path, capsys, argv, kind):
+        matrix_path, pruned, config_path, _ = pruned_run
+        paths = {"dataset": matrix_path.parent / "dataset.dept", "embeddings": matrix_path,
+                 "learned": pruned / "pruned_embeddings.depe", "remap": pruned / "remap.json",
+                 "config": config_path}
+        for name in ("bad", "bad.txt"):
+            if kind == "symlink-loop":
+                paths[name] = tmp_path / name
+                paths[name].symlink_to(paths[name])
+            else:  # one path component past the usual 255-byte limit
+                paths[name] = tmp_path / name.rjust(300, "x")
+        argv = [paths.get(arg, arg) for arg in argv]
+        if argv[0] != "count-params":
+            argv += ["--out", tmp_path / "out"]
+        assert run(*argv) == 5
+        assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("MISSING_INPUT: ")
+
+    @pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="needs /proc/self/mem")
+    def test_read_error_exits_5(self, tmp_path, capsys):
+        # Opens fine, but reading offset 0 of the process's own memory fails.
+        assert run("analyze", "--dataset", "/proc/self/mem", "--out", tmp_path / "out") == 5
+        assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("MISSING_INPUT: ")
+
+    def test_out_with_long_name_exits_4(self, workspace, capsys):
+        tmp_path, _, _, dataset_path, _, _ = workspace
+        assert run("analyze", "--dataset", dataset_path, "--out", tmp_path / "out".rjust(300, "x")) == 4
+        assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("UNWRITABLE_OUTPUT: ")
 
     def test_non_decimal_text_id_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "x.txt"
         bad.write_text("1_0 +3 \uff13\n", encoding="utf-8")
         assert run("analyze", "--dataset", bad, "--vocab-size", 20, "--out", tmp_path / "out") == 2
         assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("BAD_FORMAT: line 1: ")
+
+
+def test_readme_lists_every_error_code_under_its_exit_status():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| (\d) \| (.*) \|$", readme, re.M))  # the exit-code table
+    error_types = [obj for obj in vars(errors).values()
+                   if isinstance(obj, type) and issubclass(obj, errors.DepError) and obj is not errors.DepError]
+    assert error_types
+    for error_type in error_types:
+        assert 2 <= error_type.exit_status <= 5, error_type
+        assert f"`{error_type.code}`" in rows[str(error_type.exit_status)], error_type
 
 
 def _listing(out: Path) -> dict[str, bytes | None]:

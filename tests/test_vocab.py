@@ -78,6 +78,19 @@ class TestMergeFrequencyTables:
             assert scan_dataset(dataset).counts.tolist() == expected
 
 
+class TestFrequencyTableCounts:
+    @pytest.mark.parametrize("counts", [
+        pytest.param(np.array([1, -1], dtype=np.int64), id="negative"),
+        pytest.param(np.array([1, 2**63], dtype=np.uint64), id="uint64-past-int64"),
+    ])
+    def test_rejects_count_below_zero_as_int64(self, counts):
+        with pytest.raises(ValueError, match="non-negative"):
+            FrequencyTable(counts)
+
+    def test_counts_are_int64(self):
+        assert FrequencyTable(np.array([0, 3], dtype=np.uint8)).counts.dtype == np.int64
+
+
 class TestBuildRemap:
     def test_ascending_skips_unused(self):
         remap = build_remap(FrequencyTable([0, 3, 0, 1]))
