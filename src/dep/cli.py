@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         return err.exit_status
     except Exception as err:  # pragma: no cover - defensive catch-all
         log.exception("internal error")
-        print(f"INTERNAL_ERROR: {err}", file=sys.stderr)
+        print(f"INTERNAL_ERROR: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -148,7 +148,7 @@ class FormatError(DepError):
 
 
 class MissingInput(DepError):
-    """An input file cannot be opened or read (missing, a directory, a bad path, a read error)."""
+    """An input cannot be opened or read (missing, a bad path, a read error), or is not a regular file."""
 
     code = "MISSING_INPUT"
     exit_status = 5

@@ -31,14 +31,15 @@ entry. Writers emit a fixed key order so identical inputs give identical
 bytes.
 
 Every reader opens its input through ``_open``, so an input that cannot be
-opened or read is :class:`MissingInput`; text that is not UTF-8 or not the
-expected JSON object is :class:`FormatError`.
+opened or read, or is not a regular file, is :class:`MissingInput`; text
+that is not UTF-8 or not the expected JSON object is :class:`FormatError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 from contextlib import contextmanager
 from itertools import chain
@@ -53,12 +54,11 @@ from .errors import (
     FormatError,
     InconsistentInputs,
     MissingInput,
-    OutOfRangeToken,
     RemapInconsistent,
     UnsupportedVersion,
 )
 from .metrics import ModelConfig, PruneReport
-from .vocab import TOKEN_DTYPE, RemapOrdering, RemapTable, TokenizedDataset, _locate
+from .vocab import MAX_VOCAB_SIZE, TOKEN_DTYPE, RemapOrdering, RemapTable, TokenizedDataset, _check_ids
 
 DATASET_MAGIC = b"DEPT"
 EMBEDDINGS_MAGIC = b"DEPE"
@@ -67,15 +67,17 @@ DTYPE_FLOAT32 = 1
 
 _DATASET_HEADER = struct.Struct("<4sIQQ")
 _EMBEDDINGS_HEADER = struct.Struct("<4sIBQQ")
-_MAX_VOCAB_SIZE = 2**32  # ids are u32
 _WRITE_CHUNK_WORDS = 1 << 20  # bounds the writer's temporaries
 
 
 @contextmanager
 def _open(path):
-    """An input opened for reading; any OS error while opening or reading it is :class:`MissingInput`."""
+    """A regular file opened for reading, without blocking on a FIFO; any OS error while opening or
+    reading it, or a path that is not a regular file (a directory, FIFO or device), is :class:`MissingInput`."""
     try:
-        with open(path, "rb") as handle:
+        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as handle:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                raise MissingInput(path, "not a regular file")
             yield handle
     except OSError as err:
         raise MissingInput(path, err.strerror) from None
@@ -136,8 +138,8 @@ def _only_ints(values) -> bool:
 
 def _check_vocab_size(vocab_size: int, name: str = "vocab_size") -> None:
     # Counting allocates one slot per id, so an outside vocab_size is capped first.
-    if not 0 <= vocab_size <= _MAX_VOCAB_SIZE:
-        raise FormatError(f"{name} {vocab_size} is outside the u32 id range 0..{_MAX_VOCAB_SIZE}")
+    if not 0 <= vocab_size <= MAX_VOCAB_SIZE:
+        raise FormatError(f"{name} {vocab_size} is outside the u32 id range 0..{MAX_VOCAB_SIZE}")
 
 
 def is_text_dataset(path) -> bool:
@@ -190,8 +192,8 @@ def read_dataset_binary(path) -> TokenizedDataset:
 
 
 def write_dataset_text(dataset: TokenizedDataset, path) -> None:
-    lines = [" ".join(map(str, ids)) + "\n" for ids in dataset.to_lists()]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(" ".join(map(str, ids.tolist())) + "\n" for ids in dataset.sequences)
 
 
 def _plain_ascii(text: str) -> bool:
@@ -208,27 +210,20 @@ def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
         line_no = next(n for n, line in enumerate(lines, start=1) if not _plain_ascii(line))
         raise FormatError(f"line {line_no}: token ids must be decimal integers")
     del text  # the ids take more memory than the text; do not hold both
-    ids: list[int] = []
-    lengths = []
+    parsed = []
     for line_no, line in enumerate(lines, start=1):
-        fields = line.split()
-        try:
-            ids.extend(map(int, fields))
-        except ValueError:
+        try:  # numpy calls int() on each field; past int64 it raises OverflowError
+            parsed.append(np.array(line.split(), dtype=np.int64))
+        except (ValueError, OverflowError):
             raise FormatError(f"line {line_no}: token ids must be decimal integers") from None
-        lengths.append(len(fields))
-    lo, hi = (min(ids), max(ids)) if ids else (0, -1)
+    del lines
+    offsets = np.cumsum([0] + [row.size for row in parsed], dtype=np.int64)
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *parsed])
     if vocab_size is None:
-        vocab_size = max(hi + 1, 0)
+        vocab_size = min(max(int(ids.max(initial=-1)) + 1, 0), MAX_VOCAB_SIZE)
     _check_vocab_size(vocab_size)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(lengths, dtype=np.int64)
-    # Range-check in Python so the list converts straight to uint32.
-    if lo < 0 or hi >= vocab_size:
-        flat_pos = next(k for k, t in enumerate(ids) if t < 0 or t >= vocab_size)
-        seq, pos = _locate(offsets, flat_pos)
-        raise OutOfRangeToken(seq, pos, ids[flat_pos], vocab_size)
-    return TokenizedDataset.from_flat(np.array(ids, dtype=TOKEN_DTYPE), offsets, vocab_size)
+    _check_ids(ids, offsets, vocab_size)
+    return TokenizedDataset.from_flat(ids.astype(TOKEN_DTYPE), offsets, vocab_size)
 
 
 def write_dataset(dataset: TokenizedDataset, path) -> None:
@@ -266,8 +261,8 @@ def read_embeddings(path) -> EmbeddingMatrix:
     (dtype_code, rows, cols), body = _read_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, "<f4")
     if dtype_code != DTYPE_FLOAT32:
         raise FormatError(f"unsupported dtype code {dtype_code}")
-    if cols < 1:
-        raise FormatError(f"embedding dim must be >= 1, got {cols}")
+    if not 1 <= cols <= MAX_VOCAB_SIZE:  # with 0 rows any cols would match an empty body
+        raise FormatError(f"embedding dim must be in 1..{MAX_VOCAB_SIZE}, got {cols}")
     if body.size != rows * cols:
         raise FormatError(f"header declares a {rows} x {cols} matrix but the body holds {body.size} values")
     return EmbeddingMatrix(body.reshape(rows, cols))

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import KeepTokenOutOfRange, OutOfRangeToken, UnmappedToken
 
 TOKEN_DTYPE = np.uint32
+MAX_VOCAB_SIZE = 2**32  # ids are u32
 # 64-bit counts, as bincount returns them: corpora can exceed 2**32 tokens.
 COUNT_DTYPE = np.int64
 # Forward-LUT entry of an id outside the remap domain; never below reduced_size.
@@ -51,10 +52,10 @@ def _locate(offsets: np.ndarray, flat_pos: int) -> tuple[int, int]:
     return seq, flat_pos - int(offsets[seq])
 
 
-def _check_below(tokens: np.ndarray, offsets: np.ndarray, limit: int) -> None:
-    """Raise :class:`OutOfRangeToken` for the first id ``>= limit``."""
-    if tokens.size and int(tokens.max()) >= limit:
-        flat_pos = int(np.argmax(tokens >= limit))
+def _check_ids(tokens: np.ndarray, offsets: np.ndarray, limit: int) -> None:
+    """Raise :class:`OutOfRangeToken` for the first id outside ``[0, limit)``; uint32 ids cost one max()."""
+    if tokens.size and (int(tokens.max()) >= limit or tokens.dtype.kind == "i" and int(tokens.min()) < 0):
+        flat_pos = int(np.argmax((tokens < 0) | (tokens >= limit)))
         seq, pos = _locate(offsets, flat_pos)
         raise OutOfRangeToken(seq, pos, int(tokens[flat_pos]), limit)
 
@@ -71,13 +72,13 @@ def _flatten(sequences, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     nonempty = [arr for arr in arrays if arr.size]
     if not nonempty:
         return np.empty(0, dtype=TOKEN_DTYPE), offsets
-    # An unsigned id of 2**63 or more wraps negative here and is still rejected;
-    # the error reports the caller's value.
+    # An unsigned id of 2**63 or more wraps negative here and is still rejected.
     flat = np.concatenate(nonempty, dtype=np.int64, casting="unsafe")
-    bad = np.flatnonzero((flat < 0) | (flat >= vocab_size))
-    if bad.size:
-        seq, pos = _locate(offsets, int(bad[0]))
-        raise OutOfRangeToken(seq, pos, int(arrays[seq][pos]), vocab_size)
+    try:
+        _check_ids(flat, offsets, vocab_size)
+    except OutOfRangeToken as err:  # report the caller's value, not its int64 wrap
+        seq, pos = err.sequence_index, err.position
+        raise OutOfRangeToken(seq, pos, int(arrays[seq][pos]), vocab_size) from None
     return flat.astype(TOKEN_DTYPE), offsets
 
 
@@ -103,7 +104,8 @@ class TokenizedDataset:
     as contiguous uint32, and ``offsets``, int64 with ``num_sequences + 1``
     entries, ``offsets[0] == 0``, ``offsets[-1] == tokens.size`` and never
     decreasing. Sequence ``i`` is ``tokens[offsets[i]:offsets[i + 1]]``.
-    Every id is smaller than ``vocab_size``.
+    Every id is smaller than ``vocab_size``, and a ``vocab_size`` outside
+    ``0..MAX_VOCAB_SIZE`` (2**32, as ids are u32) raises :class:`ValueError`.
 
     ``TokenizedDataset(sequences, vocab_size)`` copies any iterable of
     one-dimensional integer sequences into this layout; :meth:`from_flat`
@@ -117,12 +119,12 @@ class TokenizedDataset:
     vocab_size: int
 
     def __init__(self, sequences, vocab_size: int):
-        if vocab_size < 0:
-            raise ValueError("vocab_size must be non-negative")
+        if not 0 <= vocab_size <= MAX_VOCAB_SIZE:
+            raise ValueError(f"vocab_size must be in 0..{MAX_VOCAB_SIZE}")
         if isinstance(sequences, _Flat):
             tokens, offsets = sequences
             _check_layout(tokens, offsets)
-            _check_below(tokens, offsets, vocab_size)
+            _check_ids(tokens, offsets, vocab_size)
         else:
             tokens, offsets = _flatten(sequences, vocab_size)
         object.__setattr__(self, "tokens", _read_only(tokens))
@@ -234,8 +236,8 @@ class RemapTable:
     keep_tokens: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.original_vocab_size < 0:
-            raise ValueError("original_vocab_size must be non-negative")
+        if not 0 <= self.original_vocab_size <= MAX_VOCAB_SIZE:
+            raise ValueError(f"original_vocab_size must be in 0..{MAX_VOCAB_SIZE}")
         arr = np.asarray(self.inverse)
         if arr.size == 0:
             arr = np.empty(0, dtype=TOKEN_DTYPE)
@@ -346,7 +348,7 @@ def apply_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDatase
 
 def invert_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDataset:
     """Undo :func:`apply_remap` by substituting ``inverse[id]`` for each id."""
-    _check_below(dataset.tokens, dataset.offsets, remap.reduced_size)
+    _check_ids(dataset.tokens, dataset.offsets, remap.reduced_size)
     return TokenizedDataset.from_flat(
         remap.inverse[dataset.tokens], dataset.offsets, remap.original_vocab_size
     )

@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -127,6 +130,19 @@ class TestHostileHeaders:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("BAD_FORMAT: ") and len(err.strip()) > len("BAD_FORMAT:")
+
+    @pytest.mark.parametrize("cols", [2**32 + 1, 2**62, 2**64 - 1])
+    @pytest.mark.parametrize("command", ["prune", "restore"])
+    def test_embeddings_zero_rows_huge_dim_exits_2(self, workspace, capsys, command, cols):
+        # With 0 rows an empty body matches any dim.
+        tmp_path, _, _, dataset_path, matrix_path, _ = workspace
+        hostile = tmp_path / "hostile.depe"
+        hostile.write_bytes(struct.pack("<4sIBQQ", b"DEPE", 1, 1, 0, cols))
+        argv = {"prune": ["--dataset", dataset_path, "--embeddings", hostile],
+                "restore": ["--embeddings", hostile, "--learned", matrix_path, "--remap", tmp_path / "unused.json"]}
+        assert run(command, *argv[command], "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert _ERROR_LINE.fullmatch(err) and err.startswith("BAD_FORMAT: embedding dim ")
 
 
 class TestBadFlags:
@@ -485,6 +501,47 @@ class TestInputBoundary:
         # Opens fine, but reading offset 0 of the process's own memory fails.
         assert run("analyze", "--dataset", "/proc/self/mem", "--out", tmp_path / "out") == 5
         assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith("MISSING_INPUT: ")
+
+    def test_fifo_input_exits_5(self, pruned_run, tmp_path):
+        # In a child process, so a blocking open fails the test by timing out instead of hanging it.
+        _, _, config_path, _ = pruned_run
+        fifo = tmp_path / "remap.json"
+        os.mkfifo(fifo)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "dep", "report", "--remap", str(fifo), "--model-config", str(config_path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 5
+        assert result.stderr == f"MISSING_INPUT: cannot read input file: {fifo} (not a regular file)\n"
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="needs /dev/null")
+    def test_device_input_exits_5(self, capsys):
+        assert run("count-params", "--model-config", "/dev/null") == 5
+        assert capsys.readouterr().err == "MISSING_INPUT: cannot read input file: /dev/null (not a regular file)\n"
+
+    @pytest.mark.parametrize("text, vocab, expected", [
+        pytest.param("1 2\n\n9 99999999999999999999\n", [], "BAD_FORMAT: line 3: ", id="past-int64"),
+        pytest.param("1 2\n\n9 99999999999999999999\n", ["--vocab-size", 20], "BAD_FORMAT: line 3: ",
+                     id="past-int64-with-vocab-size"),
+        pytest.param("1 2\n\n9 4294967296\n", [], "OUT_OF_RANGE_TOKEN: token id 4294967296 at sequence 2, "
+                     "position 1 is out of range for vocab_size 4294967296", id="past-u32"),
+    ])
+    def test_huge_text_id_exits_2_with_location(self, tmp_path, capsys, text, vocab, expected):
+        path = tmp_path / "x.txt"
+        path.write_text(text)
+        assert run("analyze", "--dataset", path, *vocab, "--out", tmp_path / "out") == 2
+        assert _ERROR_LINE.fullmatch(err := capsys.readouterr().err) and err.startswith(expected)
+
+    def test_internal_error_without_message_names_its_type(self, monkeypatch, capsys):
+        def exhausted(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(formats, "read_model_config", exhausted)
+        assert run("count-params", "--model-config", "cfg.json") == 1
+        assert capsys.readouterr().err.endswith("INTERNAL_ERROR: MemoryError\n")
 
     def test_out_with_long_name_exits_4(self, workspace, capsys):
         tmp_path, _, _, dataset_path, _, _ = workspace

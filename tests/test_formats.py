@@ -58,6 +58,21 @@ class TestDatasetFiles:
         assert path.read_text() == "1 2\n\n4\n"
         assert formats.read_dataset_text(path, 6) == dataset
 
+    @given(token_datasets())
+    def test_text_writer_bytes_and_roundtrip(self, dataset):
+        import tempfile, os
+
+        fd, path = tempfile.mkstemp(suffix=".txt")
+        os.close(fd)
+        try:
+            formats.write_dataset_text(dataset, path)
+            with open(path, "rb") as handle:
+                expected = "".join(" ".join(map(str, ids)) + "\n" for ids in dataset.to_lists())
+                assert handle.read() == expected.encode("utf-8")
+            assert formats.read_dataset_text(path, dataset.vocab_size) == dataset
+        finally:
+            os.unlink(path)
+
     def test_text_vocab_inferred_as_max_plus_one(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("3 1\n7\n")

@@ -114,6 +114,12 @@ class TestBuildRemap:
         remap = build_remap(FrequencyTable([5, 1, 2]))
         assert remap.inverse.tolist() == [0, 1, 2]
 
+    def test_original_vocab_past_u32_rejected(self):
+        # Would otherwise wrap: inverse is stored as uint32.
+        with pytest.raises(ValueError):
+            RemapTable(2**40, [2**35])
+        assert RemapTable(2**32, [2**32 - 1]).inverse.tolist() == [2**32 - 1]
+
     def test_zero_count_keep_sorts_last_in_frequency_order(self):
         remap = build_remap(
             FrequencyTable([0, 7, 0, 2]), RemapOrdering.FREQUENCY_DESCENDING, keep_tokens={0, 2}
@@ -280,6 +286,16 @@ class TestFlatLayout:
     def test_from_flat_rejects_wide_tokens(self):
         with pytest.raises(TypeError):
             TokenizedDataset.from_flat(np.array([1], dtype=np.int64), np.array([0, 1], dtype=np.int64), 5)
+
+    def test_vocab_past_u32_rejected(self):
+        # Would otherwise wrap: tokens are stored as uint32.
+        with pytest.raises(ValueError):
+            TokenizedDataset(([2**35],), 2**40)
+        tokens, offsets = np.array([1], dtype=np.uint32), np.array([0, 1], dtype=np.int64)
+        with pytest.raises(ValueError):
+            TokenizedDataset.from_flat(tokens, offsets, 2**32 + 1)
+        assert TokenizedDataset(([2**32 - 1],), 2**32).vocab_size == 2**32
+        assert TokenizedDataset.from_flat(tokens, offsets, 2**32).vocab_size == 2**32
 
     def test_huge_unsigned_id_rejected(self):
         with pytest.raises(OutOfRangeToken) as err:
