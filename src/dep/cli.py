@@ -128,20 +128,22 @@ def cmd_prune(args: argparse.Namespace) -> int:
     freqs = scan_dataset_parallel(dataset, args.partitions)
     remap = build_remap(freqs, args.ordering, args.keep)
     pruned = prune_embeddings(matrix, remap)
+    del matrix
     remapped = apply_remap(dataset, remap)
+    del dataset
     dataset_name = "pruned_dataset.txt" if formats.is_text_dataset(args.dataset) else "pruned_dataset.dept"
     _write_outputs(args, {"pruned_embeddings.depe": (formats.write_embeddings, pruned),
                           "remap.json": (formats.write_remap, remap),
                           dataset_name: (formats.write_dataset, remapped)})
     print(
-        f"pruned embeddings {matrix.rows} -> {pruned.rows} rows "
+        f"pruned embeddings {remap.original_vocab_size} -> {pruned.rows} rows "
         f"(kept {remap.reduced_size}, ordering {remap.ordering.value})"
     )
     return EXIT_OK
 
 
 def cmd_restore(args: argparse.Namespace) -> int:
-    original = formats.read_embeddings(args.embeddings)
+    original = formats.open_embeddings(args.embeddings)  # a file: only the learned rows are loaded
     learned = formats.read_embeddings(args.learned)
     remap = formats.read_remap(args.remap)
     if remap.original_vocab_size != original.rows:
@@ -151,7 +153,7 @@ def cmd_restore(args: argparse.Namespace) -> int:
         )
     restored = restore_embeddings(original, learned, remap)
     _write_outputs(args, {"restored_embeddings.depe": (formats.write_embeddings, restored)})
-    print(f"restored {learned.rows} learned rows into {restored.rows}-row matrix")
+    print(f"restored {learned.rows} learned rows into {original.rows}-row matrix")
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ original: rows outside the remap domain keep their original bits.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,29 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return int(self.data.shape[1])
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.data.nbytes)
-
     def __eq__(self, other: object):
         if not isinstance(other, EmbeddingMatrix):
             return NotImplemented
         # Bitwise comparison: NaN payloads and signed zeros must round-trip.
         return self.data.shape == other.data.shape and self.data.tobytes() == other.data.tobytes()
+
+
+@dataclass(frozen=True)
+class EmbeddingFile:
+    """A ``DEPE`` matrix file whose header and size have been validated, payload unread."""
+
+    path: str | os.PathLike
+    rows: int
+    dim: int
+
+
+@dataclass(frozen=True, eq=False)
+class RowPatch:
+    """The file ``base`` with row ``ids[j]`` replaced by ``data[j]``, as :func:`restore_embeddings` returns it."""
+
+    base: EmbeddingFile
+    ids: np.ndarray
+    data: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,13 +120,16 @@ def prune_embeddings(matrix: EmbeddingMatrix, remap: RemapTable) -> EmbeddingMat
 
 
 def restore_embeddings(
-    original: EmbeddingMatrix, learned: EmbeddingMatrix, remap: RemapTable
-) -> EmbeddingMatrix:
+    original: EmbeddingMatrix | EmbeddingFile, learned: EmbeddingMatrix, remap: RemapTable
+) -> EmbeddingMatrix | RowPatch:
     """Scatter learned rows back to their original positions.
 
     Row ``inverse[j]`` of the result equals learned row ``j``; every row
     outside the remap domain equals the original bit-for-bit, keeping the
-    model usable for vocabulary the pruned run never saw.
+    model usable for vocabulary the pruned run never saw. An
+    :class:`EmbeddingFile` original gives a :class:`RowPatch` that
+    ``formats.write_embeddings`` writes as a copy of that file with the
+    learned rows written over it; neither is copied in memory.
     """
     if original.rows != remap.original_vocab_size:
         raise ShapeMismatch(
@@ -124,6 +142,8 @@ def restore_embeddings(
         )
     if original.dim != learned.dim:
         raise ShapeMismatch(f"dim mismatch: original {original.dim}, learned {learned.dim}")
+    if isinstance(original, EmbeddingFile):
+        return RowPatch(original, remap.inverse, learned.data)
     out = original.data.copy()
     out[remap.inverse] = learned.data
     return EmbeddingMatrix(out)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import stat
 import struct
 from contextlib import contextmanager
@@ -48,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import GrowthCurve
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingFile, EmbeddingMatrix, RowPatch
 from .errors import (
     BadMagic,
     FormatError,
@@ -83,21 +84,27 @@ def _open(path):
         raise MissingInput(path, err.strerror) from None
 
 
+def _read_header(handle, header: struct.Struct, magic: bytes) -> tuple[tuple, int]:
+    """The header fields after magic and version, and the number of 4-byte words in the body."""
+    head = handle.read(header.size)
+    if len(head) != header.size:
+        raise FormatError(f"unexpected end of file while reading the {magic.decode()} header")
+    found, version, *fields = header.unpack(head)
+    if found != magic:
+        raise BadMagic(magic, found)
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersion(version, FORMAT_VERSION)
+    body_bytes = os.fstat(handle.fileno()).st_size - header.size
+    if body_bytes % 4:
+        raise FormatError(f"{magic.decode()} body of {body_bytes} bytes is not whole 4-byte words")
+    return tuple(fields), body_bytes // 4
+
+
 def _read_container(path, header: struct.Struct, magic: bytes, dtype) -> tuple[tuple, np.ndarray]:
     """The header fields after magic and version, and the body as one array of 4-byte words."""
     with _open(path) as handle:
-        head = handle.read(header.size)
-        if len(head) != header.size:
-            raise FormatError(f"unexpected end of file while reading the {magic.decode()} header")
-        found, version, *fields = header.unpack(head)
-        if found != magic:
-            raise BadMagic(magic, found)
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersion(version, FORMAT_VERSION)
-        body_bytes = os.fstat(handle.fileno()).st_size - header.size
-        if body_bytes % 4:
-            raise FormatError(f"{magic.decode()} body of {body_bytes} bytes is not whole 4-byte words")
-        return tuple(fields), np.fromfile(handle, dtype=dtype)
+        fields, _ = _read_header(handle, header, magic)
+        return fields, np.fromfile(handle, dtype=dtype)
 
 
 def _write_container(path, header: struct.Struct, magic: bytes, fields, chunks) -> None:
@@ -251,21 +258,60 @@ def read_dataset(path, vocab_size: int | None = None) -> TokenizedDataset:
     return dataset
 
 
-def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
+def write_embeddings(matrix: EmbeddingMatrix | RowPatch, path) -> None:
+    """Write a matrix, or a :class:`RowPatch` as a copy of its base file with the patch rows written over it."""
+    if isinstance(matrix, RowPatch):
+        _write_patch(matrix, path)
+        return
     fields = (DTYPE_FLOAT32, matrix.rows, matrix.dim)
     payload = np.ascontiguousarray(matrix.data, dtype="<f4")
     _write_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, fields, [payload])
 
 
-def read_embeddings(path) -> EmbeddingMatrix:
-    (dtype_code, rows, cols), body = _read_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, "<f4")
+def _write_patch(patch: RowPatch, path) -> None:
+    base = patch.base
+    header = _EMBEDDINGS_HEADER.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, base.rows, base.dim)
+    row_bytes = 4 * base.dim
+    shutil.copyfile(base.path, path)
+    fd = os.open(path, os.O_RDWR)
+    try:
+        if os.fstat(fd).st_size != len(header) + base.rows * row_bytes or os.pread(fd, len(header), 0) != header:
+            raise FormatError(f"embedding matrix {base.path} changed after it was validated")
+        ids = patch.ids.astype(np.int64)
+        data = np.ascontiguousarray(patch.data, dtype="<f4")
+        # One write per run of dense ids whose original ids are consecutive too.
+        starts = np.flatnonzero(np.diff(ids, prepend=-2) != 1).tolist()
+        for start, stop in zip(starts, starts[1:] + [ids.size]):
+            view, offset = memoryview(data[start:stop]).cast("B"), len(header) + int(ids[start]) * row_bytes
+            while view:  # a single write(2) stops short of 2 GiB
+                written = os.pwrite(fd, view, offset)
+                view, offset = view[written:], offset + written
+    finally:
+        os.close(fd)
+
+
+def _check_embeddings(fields: tuple, values: int) -> tuple[int, int]:
+    """``(rows, dim)`` of a ``DEPE`` header whose body holds ``values`` 32-bit reals."""
+    dtype_code, rows, cols = fields
     if dtype_code != DTYPE_FLOAT32:
         raise FormatError(f"unsupported dtype code {dtype_code}")
     if not 1 <= cols <= MAX_VOCAB_SIZE:  # with 0 rows any cols would match an empty body
         raise FormatError(f"embedding dim must be in 1..{MAX_VOCAB_SIZE}, got {cols}")
-    if body.size != rows * cols:
-        raise FormatError(f"header declares a {rows} x {cols} matrix but the body holds {body.size} values")
-    return EmbeddingMatrix(body.reshape(rows, cols))
+    if values != rows * cols:
+        raise FormatError(f"header declares a {rows} x {cols} matrix but the body holds {values} values")
+    return rows, cols
+
+
+def open_embeddings(path) -> EmbeddingFile:
+    """Validate a ``DEPE`` file's header and size as :func:`read_embeddings` does, without reading the payload."""
+    with _open(path) as handle:
+        fields, values = _read_header(handle, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC)
+    return EmbeddingFile(path, *_check_embeddings(fields, values))
+
+
+def read_embeddings(path) -> EmbeddingMatrix:
+    fields, body = _read_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, "<f4")
+    return EmbeddingMatrix(body.reshape(_check_embeddings(fields, body.size)))
 
 
 def remap_to_json(remap: RemapTable) -> str:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dep import EmbeddingMatrix, TokenizedDataset, errors, formats
+from dep import EmbeddingMatrix, RemapTable, TokenizedDataset, errors, formats, restore_embeddings
 from dep.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -639,6 +639,79 @@ class TestOutputSet:
         for argv, names in runs.items():
             assert run(*argv) == 0
             assert sorted(path.name for path in argv[-1].iterdir()) == names
+
+
+_FLOAT_BITS = st.sampled_from([0x80000000, 0x7FC00001, 0xFFBFFFFF, 0x7F800001]) | st.integers(0, 2**32 - 1)
+
+
+def _float32_matrices(rows: int, dim: int):
+    """``rows x dim`` matrices drawn as raw bits: NaN payloads, signaling NaNs and ``-0.0`` included."""
+    bits = st.lists(_FLOAT_BITS, min_size=rows * dim, max_size=rows * dim)
+    return bits.map(lambda words: EmbeddingMatrix(np.array(words, dtype="<u4").view("<f4").reshape(rows, dim)))
+
+
+@st.composite
+def _restore_inputs(draw):
+    """(original, learned, remap): remaps are empty, identity, ascending, or any permutation of any subset."""
+    rows, dim = draw(st.integers(0, 40)), draw(st.integers(1, 5))
+    subset = draw(st.lists(st.integers(0, rows - 1), unique=True)) if rows else []
+    inverse = draw(st.sampled_from([[], list(range(rows)), sorted(subset), subset]))
+    remap = RemapTable(rows, inverse)
+    return draw(_float32_matrices(rows, dim)), draw(_float32_matrices(len(inverse), dim)), remap
+
+
+class TestStreamedRestore:
+    """``restore`` copies the original file and writes only the learned rows, with the in-memory result's bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=_restore_inputs())
+    def test_matches_in_memory_restore(self, tmp_path_factory, inputs):
+        original, learned, remap = inputs
+        work = tmp_path_factory.mktemp("streamed")
+        formats.write_embeddings(original, work / "original.depe")
+        formats.write_embeddings(learned, work / "learned.depe")
+        formats.write_remap(remap, work / "remap.json")
+        formats.write_embeddings(restore_embeddings(original, learned, remap), work / "expected.depe")
+        expected = (work / "expected.depe").read_bytes()
+        rest = ["--learned", work / "learned.depe", "--remap", work / "remap.json", "--out", work / "out"]
+        code, err = _run_quiet("restore", "--embeddings", work / "original.depe", *rest)
+        assert (code, err) == (0, "")
+        target = work / "out" / "restored_embeddings.depe"
+        assert target.read_bytes() == expected
+        # The original may be the very file that --force replaces.
+        target.write_bytes((work / "original.depe").read_bytes())
+        assert _run_quiet("restore", "--embeddings", target, *rest, "--force") == (0, "")
+        assert target.read_bytes() == expected
+
+    @pytest.mark.parametrize("change, code, error", [
+        pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-1]), 2, "BAD_FORMAT", id="truncated"),
+        pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-4]), 2, "BAD_FORMAT", id="one-value-short"),
+        pytest.param(lambda path: formats.write_embeddings(EmbeddingMatrix(np.zeros((4, 4), dtype=np.float32)), path),
+                     2, "BAD_FORMAT", id="same-size-other-shape"),
+        pytest.param(Path.unlink, 4, "UNWRITABLE_OUTPUT", id="deleted"),
+    ])
+    def test_original_changed_after_validation_keeps_previous_set(self, workspace, capsys, monkeypatch,
+                                                                  change, code, error):
+        tmp_path, _, _, dataset_path, matrix_path, _ = workspace
+        pruned, out = tmp_path / "pruned", tmp_path / "restored"
+        assert run("prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--out", pruned) == 0
+        argv = ["restore", "--embeddings", matrix_path, "--learned", pruned / "pruned_embeddings.depe",
+                "--remap", pruned / "remap.json", "--out", out, "--force"]
+        assert run(*argv) == 0
+        before = _listing(out)
+        capsys.readouterr()
+        validate = formats.open_embeddings
+
+        def validate_then_change(path):
+            base = validate(path)
+            change(Path(path))
+            return base
+
+        monkeypatch.setattr(formats, "open_embeddings", validate_then_change)
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert _ERROR_LINE.fullmatch(err) and err.startswith(f"{error}: ")
+        assert _listing(out) == before
 
 
 class TestReport:

@@ -196,4 +196,4 @@ class TestSizeAccounting:
         remap = build_remap(scan_dataset(dataset))
         pruned = prune_embeddings(matrix, remap)
         reduction = pr_emb(40, remap.reduced_size)
-        assert pruned.nbytes == round((1 - reduction) * matrix.nbytes)
+        assert pruned.data.nbytes == round((1 - reduction) * matrix.data.nbytes)

@@ -1,6 +1,7 @@
 """File format round-trips and rejection of malformed inputs."""
 
 import json
+import os
 import struct
 from importlib import resources
 from unittest import mock
@@ -24,6 +25,7 @@ from dep import (
     TokenizedDataset,
     UnsupportedVersion,
     report_from_counts,
+    restore_embeddings,
 )
 from dep import formats
 
@@ -267,6 +269,53 @@ class TestEmbeddingFiles:
         path.write_bytes(struct.pack("<4sIBQQ", b"DEPE", 1, 1, 3, 0))
         with pytest.raises(FormatError):
             formats.read_embeddings(path)
+
+    def test_open_embeddings_returns_path_and_shape(self, tmp_path):
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(EmbeddingMatrix(np.zeros((3, 2), dtype=np.float32)), path)
+        base = formats.open_embeddings(path)
+        assert (base.path, base.rows, base.dim) == (path, 3, 2)
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda raw: raw[:-1], id="truncated"),
+        pytest.param(lambda raw: raw + bytes(4), id="trailing-word"),
+        pytest.param(lambda raw: raw[:8] + b"\x02" + raw[9:], id="dtype-code"),
+        pytest.param(lambda raw: raw[:17] + struct.pack("<Q", 0) + raw[25:], id="zero-dim"),
+    ])
+    def test_open_embeddings_rejects_what_read_embeddings_rejects(self, tmp_path, damage):
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(EmbeddingMatrix(np.ones((2, 2), dtype=np.float32)), path)
+        path.write_bytes(damage(path.read_bytes()))
+        for reader in (formats.read_embeddings, formats.open_embeddings):
+            with pytest.raises(FormatError):
+                reader(path)
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-4]), id="truncated"),
+        pytest.param(lambda path: formats.write_embeddings(EmbeddingMatrix(np.ones((2, 4), dtype=np.float32)), path),
+                     id="same-size-other-shape"),
+    ])
+    def test_patch_of_a_file_changed_after_open_is_bad_format(self, tmp_path, change):
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(EmbeddingMatrix(np.ones((4, 2), dtype=np.float32)), path)
+        base = formats.open_embeddings(path)
+        change(path)
+        patch = restore_embeddings(base, EmbeddingMatrix(np.zeros((1, 2), dtype=np.float32)), RemapTable(4, [2]))
+        with pytest.raises(FormatError, match="changed after it was validated"):
+            formats.write_embeddings(patch, tmp_path / "out.depe")
+
+    def test_patch_writes_runs_of_consecutive_ids(self, tmp_path):
+        rng = np.random.default_rng(5)
+        matrix = EmbeddingMatrix(rng.standard_normal((9, 3)).astype(np.float32))
+        learned = EmbeddingMatrix(rng.standard_normal((6, 3)).astype(np.float32))
+        remap = RemapTable(9, [4, 5, 6, 0, 8, 7])  # runs 4-6, 0, 8, 7
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(matrix, path)
+        with mock.patch("os.pwrite", wraps=os.pwrite) as pwrite:
+            formats.write_embeddings(restore_embeddings(formats.open_embeddings(path), learned, remap), tmp_path / "p")
+        assert [len(call.args[1]) for call in pwrite.call_args_list] == [3 * 12, 12, 12, 12]
+        formats.write_embeddings(restore_embeddings(matrix, learned, remap), tmp_path / "m")
+        assert (tmp_path / "p").read_bytes() == (tmp_path / "m").read_bytes()
 
     def test_header_is_little_endian_layout(self, tmp_path):
         path = tmp_path / "emb.depe"
