@@ -115,22 +115,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
-    matrix = formats.read_embeddings(args.embeddings)
+    original = formats.open_embeddings(args.embeddings)  # a file: only the kept rows are read, last
     vocab = args.vocab_size
     if vocab is None and formats.is_text_dataset(args.dataset):
-        vocab = matrix.rows
+        vocab = original.rows
     dataset = formats.read_dataset(args.dataset, vocab)
-    if dataset.vocab_size != matrix.rows:
+    if dataset.vocab_size != original.rows:
         raise ShapeMismatch(
             f"dataset vocab_size {dataset.vocab_size} does not match "
-            f"embedding matrix rows {matrix.rows}"
+            f"embedding matrix rows {original.rows}"
         )
     freqs = scan_dataset_parallel(dataset, args.partitions)
     remap = build_remap(freqs, args.ordering, args.keep)
-    pruned = prune_embeddings(matrix, remap)
-    del matrix
     remapped = apply_remap(dataset, remap)
     del dataset
+    pruned = prune_embeddings(original, remap)
     dataset_name = "pruned_dataset.txt" if formats.is_text_dataset(args.dataset) else "pruned_dataset.dept"
     _write_outputs(args, {"pruned_embeddings.depe": (formats.write_embeddings, pruned),
                           "remap.json": (formats.write_remap, remap),

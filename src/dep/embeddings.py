@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import FormatError, ShapeMismatch
 from .vocab import RemapTable, _read_only
 
 STORAGE_DTYPE = np.float32  # v1 stores 32-bit reals; the file format carries a dtype code
@@ -105,17 +105,26 @@ def validate_matrix(matrix: EmbeddingMatrix) -> ValidationSummary:
     return ValidationSummary(matrix.rows, matrix.dim, nonfinite, lo, hi)
 
 
-def prune_embeddings(matrix: EmbeddingMatrix, remap: RemapTable) -> EmbeddingMatrix:
+def prune_embeddings(matrix: EmbeddingMatrix | EmbeddingFile, remap: RemapTable) -> EmbeddingMatrix:
     """Gather the kept rows into a compact matrix.
 
     Output row ``d`` is a bit-identical copy of input row ``remap.inverse[d]``;
     the input is left untouched. An empty remap yields a valid ``0 x dim``
-    matrix.
+    matrix. An :class:`EmbeddingFile` has only the kept rows read from it,
+    through ``formats.read_embeddings``; the rest of the file is never loaded.
     """
     if matrix.rows != remap.original_vocab_size:
         raise ShapeMismatch(
             f"matrix has {matrix.rows} rows but remap covers vocab_size {remap.original_vocab_size}"
         )
+    if isinstance(matrix, EmbeddingFile):
+        from . import formats  # formats imports this module
+
+        pruned = formats.read_embeddings(matrix.path, rows=remap.inverse)
+        # The rows are checked against the file as it is now; it must still be the validated matrix.
+        if formats.open_embeddings(matrix.path) != matrix:
+            raise FormatError(f"embedding matrix {matrix.path} changed after it was validated")
+        return pruned
     return EmbeddingMatrix(matrix.data[remap.inverse])
 
 

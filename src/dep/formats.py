@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import stat
 import struct
 from contextlib import contextmanager
@@ -69,6 +68,8 @@ DTYPE_FLOAT32 = 1
 _DATASET_HEADER = struct.Struct("<4sIQQ")
 _EMBEDDINGS_HEADER = struct.Struct("<4sIBQQ")
 _WRITE_CHUNK_WORDS = 1 << 20  # bounds the writer's temporaries
+_COPY_CALL_BYTES = 1 << 30  # per sendfile(2), under its 2 GiB limit
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one preadv may fill
 
 
 @contextmanager
@@ -98,13 +99,6 @@ def _read_header(handle, header: struct.Struct, magic: bytes) -> tuple[tuple, in
     if body_bytes % 4:
         raise FormatError(f"{magic.decode()} body of {body_bytes} bytes is not whole 4-byte words")
     return tuple(fields), body_bytes // 4
-
-
-def _read_container(path, header: struct.Struct, magic: bytes, dtype) -> tuple[tuple, np.ndarray]:
-    """The header fields after magic and version, and the body as one array of 4-byte words."""
-    with _open(path) as handle:
-        fields, _ = _read_header(handle, header, magic)
-        return fields, np.fromfile(handle, dtype=dtype)
 
 
 def _write_container(path, header: struct.Struct, magic: bytes, fields, chunks) -> None:
@@ -174,7 +168,9 @@ def _v1_body_chunks(dataset: TokenizedDataset):
 
 
 def read_dataset_binary(path) -> TokenizedDataset:
-    (vocab_size, num_sequences), body = _read_container(path, _DATASET_HEADER, DATASET_MAGIC, "<u4")
+    with _open(path) as handle:
+        (vocab_size, num_sequences), _ = _read_header(handle, _DATASET_HEADER, DATASET_MAGIC)
+        body = np.fromfile(handle, dtype="<u4")
     _check_vocab_size(vocab_size)
     body = body.astype(TOKEN_DTYPE, copy=False)
     if num_sequences > body.size:
@@ -272,22 +268,58 @@ def _write_patch(patch: RowPatch, path) -> None:
     base = patch.base
     header = _EMBEDDINGS_HEADER.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, base.rows, base.dim)
     row_bytes = 4 * base.dim
-    shutil.copyfile(base.path, path)
-    fd = os.open(path, os.O_RDWR)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
+        for source in _opened(base.path):  # an in-kernel copy; its OS errors are the output's
+            while os.sendfile(fd, source.fileno(), None, _COPY_CALL_BYTES):
+                pass
         if os.fstat(fd).st_size != len(header) + base.rows * row_bytes or os.pread(fd, len(header), 0) != header:
             raise FormatError(f"embedding matrix {base.path} changed after it was validated")
         ids = patch.ids.astype(np.int64)
         data = np.ascontiguousarray(patch.data, dtype="<f4")
         # One write per run of dense ids whose original ids are consecutive too.
-        starts = np.flatnonzero(np.diff(ids, prepend=-2) != 1).tolist()
-        for start, stop in zip(starts, starts[1:] + [ids.size]):
+        for start, stop in _runs(ids):
             view, offset = memoryview(data[start:stop]).cast("B"), len(header) + int(ids[start]) * row_bytes
             while view:  # a single write(2) stops short of 2 GiB
                 written = os.pwrite(fd, view, offset)
                 view, offset = view[written:], offset + written
     finally:
         os.close(fd)
+
+
+def _opened(path):
+    """An input opened by ``_open``, as a one-item loop.
+
+    An input that cannot be opened is :class:`MissingInput`, but OS errors
+    in the loop body do not pass through ``_open``: they stay the caller's.
+    """
+    with _open(path) as handle:
+        yield handle
+
+
+def _runs(*ids: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each maximal run of positions over which every array in ``ids`` steps by exactly +1."""
+    size = len(ids[0])
+    steps = np.ones(max(size - 1, 0), dtype=bool)
+    for values in ids:
+        steps &= np.diff(values) == 1
+    starts = [0, *(np.flatnonzero(~steps) + 1).tolist()] if size else []
+    return list(zip(starts, starts[1:] + [size]))
+
+
+def _read_into(fd: int, views: list[memoryview], offset: int, path) -> None:
+    """Fill ``views`` in turn from file offset ``offset``, at most ``_IOV_MAX`` of them per ``preadv``."""
+    i = 0
+    while i < len(views):
+        got = os.preadv(fd, views[i:i + _IOV_MAX], offset)
+        if got == 0:  # a single read(2) stops short of 2 GiB, so only end of file ends the loop early
+            raise FormatError(f"embedding matrix {path} changed after it was validated")
+        offset += got
+        while i < len(views) and got >= len(views[i]):
+            got -= len(views[i])
+            i += 1
+        if got:
+            views[i] = views[i][got:]
 
 
 def _check_embeddings(fields: tuple, values: int) -> tuple[int, int]:
@@ -309,20 +341,53 @@ def open_embeddings(path) -> EmbeddingFile:
     return EmbeddingFile(path, *_check_embeddings(fields, values))
 
 
-def read_embeddings(path) -> EmbeddingMatrix:
-    fields, body = _read_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, "<f4")
-    return EmbeddingMatrix(body.reshape(_check_embeddings(fields, body.size)))
+def read_embeddings(path, rows=None) -> EmbeddingMatrix:
+    """The whole ``DEPE`` matrix, or with ``rows`` only those rows: output row ``j`` is row ``rows[j]``.
+
+    The header and size are checked as :func:`open_embeddings` checks them,
+    under the same open file. Rows are read in id order, one ``preadv`` per
+    run of consecutive ids, straight into their output rows, so nothing
+    else of the payload is held. Ids may repeat; one outside the matrix
+    is :class:`FormatError`.
+    """
+    with _open(path) as handle:
+        fields, values = _read_header(handle, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC)
+        total, dim = _check_embeddings(fields, values)
+        ids = np.arange(total) if rows is None else np.asarray(rows)
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise ValueError("rows must be a one-dimensional sequence of integer ids")
+        if ids.size and not 0 <= int(ids.min()) <= int(ids.max()) < total:
+            raise FormatError(f"row ids must be in 0..{total - 1}, the rows of embedding matrix {path}")
+        out = np.empty((ids.size, dim), dtype="<f4")
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order].astype(np.int64)
+        ids_list, order_list, row_bytes = ids.tolist(), order.tolist(), 4 * dim
+        views, offset = [], 0
+        # Each piece is a run whose output rows are consecutive too, so one buffer takes it.
+        for start, stop in _runs(ids, order):
+            if start == 0 or ids_list[start] != ids_list[start - 1] + 1:
+                _read_into(handle.fileno(), views, offset, path)
+                views, offset = [], _EMBEDDINGS_HEADER.size + ids_list[start] * row_bytes
+            dense = order_list[start]
+            views.append(memoryview(out[dense:dense + stop - start]).cast("B"))
+        _read_into(handle.fileno(), views, offset, path)
+    return EmbeddingMatrix(out)
 
 
 def remap_to_json(remap: RemapTable) -> str:
-    pairs = [[int(orig), dense] for dense, orig in enumerate(remap.inverse.tolist())]
     obj = {
         "original_vocab_size": remap.original_vocab_size,
         "ordering": remap.ordering.value,
         "keep_tokens": list(remap.keep_tokens),
-        "pairs": pairs,
+        "pairs": [],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2)
+    if remap.reduced_size:
+        # The bytes json.dumps(indent=2) gives the pairs, without its pure-Python encoder.
+        pairs = ",\n".join(f"    [\n      {orig},\n      {dense}\n    ]"
+                           for dense, orig in enumerate(remap.inverse.tolist()))
+        text = text.removesuffix("[]\n}") + f"[\n{pairs}\n  ]\n}}"
+    return text + "\n"
 
 
 def write_remap(remap: RemapTable, path) -> None:

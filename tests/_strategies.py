@@ -47,3 +47,12 @@ def prune_instances(draw, max_vocab=24, max_dim=6):
         rng.standard_normal((dataset.vocab_size, dim)).astype(np.float32)
     )
     return dataset, remap, matrix
+
+
+_FLOAT_BITS = st.sampled_from([0x80000000, 0x7FC00001, 0xFFBFFFFF, 0x7F800001]) | st.integers(0, 2**32 - 1)
+
+
+def float32_matrices(rows: int, dim: int):
+    """``rows x dim`` matrices drawn as raw bits: NaN payloads, signaling NaNs and ``-0.0`` included."""
+    bits = st.lists(_FLOAT_BITS, min_size=rows * dim, max_size=rows * dim)
+    return bits.map(lambda words: EmbeddingMatrix(np.array(words, dtype="<u4").view("<f4").reshape(rows, dim)))

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior: artifacts, determinism, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dep import EmbeddingMatrix, RemapTable, TokenizedDataset, errors, formats, restore_embeddings
+from dep import (
+    EmbeddingMatrix,
+    RemapOrdering,
+    RemapTable,
+    TokenizedDataset,
+    apply_remap,
+    build_remap,
+    errors,
+    formats,
+    prune_embeddings,
+    restore_embeddings,
+    scan_dataset,
+)
 from dep.cli import main
+
+from _strategies import float32_matrices, token_datasets
 
 DATA = Path(__file__).parent / "data"
 
@@ -641,13 +657,28 @@ class TestOutputSet:
             assert sorted(path.name for path in argv[-1].iterdir()) == names
 
 
-_FLOAT_BITS = st.sampled_from([0x80000000, 0x7FC00001, 0xFFBFFFFF, 0x7F800001]) | st.integers(0, 2**32 - 1)
+# Ways the 8 x 2 fixture matrix can change after open_embeddings validated it, with the exit that follows.
+_CHANGES_AFTER_VALIDATION = [
+    pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-1]), 2, "BAD_FORMAT", id="truncated"),
+    pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-4]), 2, "BAD_FORMAT", id="one-value-short"),
+    pytest.param(lambda path: formats.write_embeddings(EmbeddingMatrix(np.zeros((4, 4), dtype=np.float32)), path),
+                 2, "BAD_FORMAT", id="same-size-other-shape"),
+    pytest.param(lambda path: formats.write_embeddings(EmbeddingMatrix(np.ones((16, 2), dtype=np.float32)), path),
+                 2, "BAD_FORMAT", id="more-rows-same-dim"),
+    pytest.param(Path.unlink, 5, "MISSING_INPUT", id="deleted"),
+]
 
 
-def _float32_matrices(rows: int, dim: int):
-    """``rows x dim`` matrices drawn as raw bits: NaN payloads, signaling NaNs and ``-0.0`` included."""
-    bits = st.lists(_FLOAT_BITS, min_size=rows * dim, max_size=rows * dim)
-    return bits.map(lambda words: EmbeddingMatrix(np.array(words, dtype="<u4").view("<f4").reshape(rows, dim)))
+def _change_after_validation(monkeypatch, change) -> None:
+    """Make ``formats.open_embeddings`` apply ``change`` to the file right after validating it."""
+    validate = formats.open_embeddings
+
+    def validate_then_change(path):
+        base = validate(path)
+        change(Path(path))
+        return base
+
+    monkeypatch.setattr(formats, "open_embeddings", validate_then_change)
 
 
 @st.composite
@@ -657,7 +688,7 @@ def _restore_inputs(draw):
     subset = draw(st.lists(st.integers(0, rows - 1), unique=True)) if rows else []
     inverse = draw(st.sampled_from([[], list(range(rows)), sorted(subset), subset]))
     remap = RemapTable(rows, inverse)
-    return draw(_float32_matrices(rows, dim)), draw(_float32_matrices(len(inverse), dim)), remap
+    return draw(float32_matrices(rows, dim)), draw(float32_matrices(len(inverse), dim)), remap
 
 
 class TestStreamedRestore:
@@ -683,13 +714,7 @@ class TestStreamedRestore:
         assert _run_quiet("restore", "--embeddings", target, *rest, "--force") == (0, "")
         assert target.read_bytes() == expected
 
-    @pytest.mark.parametrize("change, code, error", [
-        pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-1]), 2, "BAD_FORMAT", id="truncated"),
-        pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-4]), 2, "BAD_FORMAT", id="one-value-short"),
-        pytest.param(lambda path: formats.write_embeddings(EmbeddingMatrix(np.zeros((4, 4), dtype=np.float32)), path),
-                     2, "BAD_FORMAT", id="same-size-other-shape"),
-        pytest.param(Path.unlink, 4, "UNWRITABLE_OUTPUT", id="deleted"),
-    ])
+    @pytest.mark.parametrize("change, code, error", _CHANGES_AFTER_VALIDATION)
     def test_original_changed_after_validation_keeps_previous_set(self, workspace, capsys, monkeypatch,
                                                                   change, code, error):
         tmp_path, _, _, dataset_path, matrix_path, _ = workspace
@@ -700,18 +725,93 @@ class TestStreamedRestore:
         assert run(*argv) == 0
         before = _listing(out)
         capsys.readouterr()
-        validate = formats.open_embeddings
-
-        def validate_then_change(path):
-            base = validate(path)
-            change(Path(path))
-            return base
-
-        monkeypatch.setattr(formats, "open_embeddings", validate_then_change)
+        _change_after_validation(monkeypatch, change)
         assert run(*argv) == code
         err = capsys.readouterr().err
         assert _ERROR_LINE.fullmatch(err) and err.startswith(f"{error}: ")
         assert _listing(out) == before
+
+    def test_failed_write_of_the_copy_is_the_output_error(self, workspace, capsys, monkeypatch):
+        """The original is read while the copy is written; a write error there still names the output, exit 4."""
+        tmp_path, _, _, dataset_path, matrix_path, _ = workspace
+        pruned, out = tmp_path / "pruned", tmp_path / "restored"
+        assert run("prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--out", pruned) == 0
+        argv = ["restore", "--embeddings", matrix_path, "--learned", pruned / "pruned_embeddings.depe",
+                "--remap", pruned / "remap.json", "--out", out]
+
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "sendfile", disk_full)
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert _ERROR_LINE.fullmatch(err) and err.startswith("UNWRITABLE_OUTPUT: ") and str(out) in err
+        assert _listing(out) == {}
+
+
+@st.composite
+def _prune_inputs(draw):
+    """(dataset, matrix, ordering, keep ids) with a raw-bit matrix of the dataset's vocabulary size."""
+    dataset = draw(token_datasets(max_vocab=40))
+    keep = draw(st.lists(st.integers(0, dataset.vocab_size - 1), unique=True, max_size=4))
+    matrix = draw(float32_matrices(dataset.vocab_size, draw(st.integers(1, 4))))
+    return dataset, matrix, draw(st.sampled_from(list(RemapOrdering))), keep
+
+
+class TestStreamedPrune:
+    """``prune`` validates the matrix first and reads only the kept rows, last, with the in-memory result's bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=_prune_inputs())
+    def test_matches_in_memory_prune(self, tmp_path_factory, inputs):
+        dataset, matrix, ordering, keep = inputs
+        work = tmp_path_factory.mktemp("streamed")
+        formats.write_dataset(dataset, work / "dataset.dept")
+        formats.write_embeddings(matrix, work / "embeddings.depe")
+        remap = build_remap(scan_dataset(dataset), ordering, keep)
+        expected = work / "expected"
+        expected.mkdir()
+        formats.write_embeddings(prune_embeddings(formats.read_embeddings(work / "embeddings.depe"), remap),
+                                 expected / "pruned_embeddings.depe")
+        formats.write_remap(remap, expected / "remap.json")
+        formats.write_dataset(apply_remap(dataset, remap), expected / "pruned_dataset.dept")
+        code, err = _run_quiet("prune", "--dataset", work / "dataset.dept", "--embeddings", work / "embeddings.depe",
+                               "--ordering", ordering.value, "--keep", ",".join(map(str, keep)), "--out", work / "out")
+        assert (code, err) == (0, "")
+        assert _listing(work / "out") == _listing(expected)
+
+    @pytest.mark.parametrize("change, code, error", _CHANGES_AFTER_VALIDATION)
+    def test_matrix_changed_after_validation_keeps_previous_set(self, workspace, capsys, monkeypatch,
+                                                                change, code, error):
+        tmp_path, _, _, dataset_path, matrix_path, _ = workspace
+        out = tmp_path / "pruned"
+        argv = ["prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--out", out, "--force"]
+        assert run(*argv) == 0
+        before = _listing(out)
+        capsys.readouterr()
+        _change_after_validation(monkeypatch, change)
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert _ERROR_LINE.fullmatch(err) and err.startswith(f"{error}: ")
+        assert _listing(out) == before
+
+    def test_peak_allocation_is_below_the_matrix(self, tmp_path):
+        """With 1% of ids used, prune allocates far less than the matrix payload: it never holds the whole matrix."""
+        rows, dim = 50_000, 64
+        rng = np.random.default_rng(11)
+        used = rng.choice(rows, size=rows // 100, replace=False)
+        dataset_path, matrix_path = tmp_path / "d.dept", tmp_path / "e.depe"
+        formats.write_dataset(TokenizedDataset((used.tolist(),), rows), dataset_path)
+        formats.write_embeddings(EmbeddingMatrix(rng.standard_normal((rows, dim)).astype(np.float32)), matrix_path)
+        tracemalloc.start()
+        try:
+            code, err = _run_quiet("prune", "--dataset", dataset_path, "--embeddings", matrix_path,
+                                   "--out", tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert peak < rows * dim * 4
 
 
 class TestReport:

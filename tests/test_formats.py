@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dep import (
@@ -29,7 +29,7 @@ from dep import (
 )
 from dep import formats
 
-from _strategies import token_datasets
+from _strategies import float32_matrices, token_datasets
 
 
 def reference_dataset_bytes(dataset):
@@ -317,6 +317,35 @@ class TestEmbeddingFiles:
         formats.write_embeddings(restore_embeddings(matrix, learned, remap), tmp_path / "m")
         assert (tmp_path / "p").read_bytes() == (tmp_path / "m").read_bytes()
 
+    def test_file_truncated_after_its_size_check_is_bad_format(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(EmbeddingMatrix(np.ones((4, 2), dtype=np.float32)), path)
+        check = formats._check_embeddings
+
+        def check_then_truncate(fields, values):
+            shape = check(fields, values)
+            path.write_bytes(path.read_bytes()[:-8])
+            return shape
+
+        monkeypatch.setattr(formats, "_check_embeddings", check_then_truncate)
+        with pytest.raises(FormatError, match="changed after it was validated"):
+            formats.read_embeddings(path, rows=[3])
+
+    @pytest.mark.parametrize("rows, calls", [
+        pytest.param([0, 1, 2, 4, 5], [[3 * 12], [2 * 12]], id="ascending"),
+        pytest.param([4, 5, 6, 0, 8, 7], [[12], [3 * 12, 12, 12]], id="one-buffer-per-run-of-output-rows"),
+        pytest.param([2, 2], [[12], [12]], id="repeated-id-read-twice"),
+    ])
+    def test_one_preadv_per_run_of_consecutive_ids(self, tmp_path, rows, calls):
+        rng = np.random.default_rng(5)
+        matrix = EmbeddingMatrix(rng.standard_normal((9, 3)).astype(np.float32))
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(matrix, path)
+        with mock.patch("os.preadv", wraps=os.preadv) as preadv:
+            selected = formats.read_embeddings(path, rows=rows)
+        assert [[len(view) for view in call.args[1]] for call in preadv.call_args_list] == calls
+        assert selected == EmbeddingMatrix(matrix.data[rows])
+
     def test_header_is_little_endian_layout(self, tmp_path):
         path = tmp_path / "emb.depe"
         formats.write_embeddings(EmbeddingMatrix(np.zeros((3, 2), dtype=np.float32)), path)
@@ -329,7 +358,65 @@ class TestEmbeddingFiles:
         assert len(raw) == 25 + 3 * 2 * 4
 
 
+@st.composite
+def _row_selections(draw):
+    """(matrix, ids): empty, every id, an ascending subset, a permutation of a subset, or ids with repeats."""
+    rows, dim = draw(st.integers(0, 30)), draw(st.integers(1, 4))
+    subset = draw(st.lists(st.integers(0, rows - 1), unique=True)) if rows else []
+    repeats = draw(st.lists(st.integers(0, rows - 1), min_size=1)) if rows else []
+    ids = draw(st.sampled_from([[], list(range(rows)), sorted(subset), subset, repeats]))
+    return draw(float32_matrices(rows, dim)), ids
+
+
+class TestRowReader:
+    """``read_embeddings(path, rows=ids)`` is ``read_embeddings(path).data[ids]``, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(selection=_row_selections(), iov_max=st.sampled_from([1, 2, 3, formats._IOV_MAX]))
+    def test_matches_whole_matrix_gather(self, tmp_path_factory, selection, iov_max):
+        matrix, ids = selection
+        path = tmp_path_factory.mktemp("rows") / "emb.depe"
+        formats.write_embeddings(matrix, path)
+        with mock.patch.object(formats, "_IOV_MAX", iov_max):
+            selected = formats.read_embeddings(path, rows=np.array(ids, dtype=np.int64))
+        expected = formats.read_embeddings(path).data[ids]
+        assert selected.data.shape == expected.shape
+        assert selected.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ids", [[-1], [0, 4], [2**32], np.array([2**64 - 1], dtype=np.uint64)])
+    def test_id_outside_the_matrix_is_bad_format(self, tmp_path, ids):
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(EmbeddingMatrix(np.ones((4, 2), dtype=np.float32)), path)
+        with pytest.raises(FormatError, match=r"row ids must be in 0\.\.3"):
+            formats.read_embeddings(path, rows=ids)
+
+    @pytest.mark.parametrize("ids", [[[0, 1]], [0.0], [True]], ids=["2-D", "float", "bool"])
+    def test_ids_that_are_not_integers_are_rejected(self, tmp_path, ids):
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(EmbeddingMatrix(np.ones((4, 2), dtype=np.float32)), path)
+        with pytest.raises(ValueError, match="integer ids"):
+            formats.read_embeddings(path, rows=ids)
+
+
+@st.composite
+def _remaps(draw):
+    keep = draw(st.lists(st.integers(0, 63), unique=True, max_size=5))
+    inverse = keep + draw(st.lists(st.integers(0, 63).filter(lambda i: i not in keep), unique=True))
+    inverse = draw(st.permutations(inverse))
+    return RemapTable(64, inverse, draw(st.sampled_from(list(RemapOrdering))), draw(st.permutations(keep)))
+
+
 class TestRemapFiles:
+    @given(remap=_remaps())
+    def test_bytes_are_json_dumps_indent_2(self, remap):
+        obj = {
+            "original_vocab_size": remap.original_vocab_size,
+            "ordering": remap.ordering.value,
+            "keep_tokens": list(remap.keep_tokens),
+            "pairs": [[orig, dense] for dense, orig in enumerate(remap.inverse.tolist())],
+        }
+        assert formats.remap_to_json(remap) == json.dumps(obj, indent=2) + "\n"
+
     def test_roundtrip(self, tmp_path):
         remap = RemapTable(10, [5, 2, 9], RemapOrdering.FREQUENCY_DESCENDING, (2,))
         path = tmp_path / "remap.json"
