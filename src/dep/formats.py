@@ -10,6 +10,11 @@ Dataset, magic ``DEPT``::
     u64 num_sequences
     per sequence: u32 length, then that many u32 token ids
 
+The reader loads the body into one buffer and moves the ids left over the
+length words inside it, one chunk of whole sequences at a time, so the
+dataset's ``tokens`` is a leading view of that buffer. Besides it, the
+reader holds two int64 words per sequence and one chunk's temporaries.
+
 Embedding matrix, magic ``DEPE``::
 
     4s  magic        b"DEPE"
@@ -67,7 +72,7 @@ DTYPE_FLOAT32 = 1
 
 _DATASET_HEADER = struct.Struct("<4sIQQ")
 _EMBEDDINGS_HEADER = struct.Struct("<4sIBQQ")
-_WRITE_CHUNK_WORDS = 1 << 20  # bounds the writer's temporaries
+_CHUNK_WORDS = 1 << 20  # body words per chunk; bounds the dataset reader's and writer's temporaries
 _COPY_CALL_BYTES = 1 << 30  # per sendfile(2), under its 2 GiB limit
 _IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one preadv may fill
 
@@ -156,14 +161,22 @@ def write_dataset_binary(dataset: TokenizedDataset, path) -> None:
 def _v1_body_chunks(dataset: TokenizedDataset):
     """Length words interleaved with ids, in chunks of whole sequences."""
     tokens, offsets = dataset.tokens, dataset.offsets
-    # Body word index of each sequence's length word; the last entry is the body size.
-    starts = offsets + np.arange(offsets.size)
-    i, n = 0, dataset.num_sequences
-    while i < n:
-        # At most _WRITE_CHUNK_WORDS words unless one sequence is longer.
-        j = max(i + 1, int(np.searchsorted(starts, starts[i] + _WRITE_CHUNK_WORDS, "right")) - 1)
+    for i, j in _chunk_spans(offsets + np.arange(offsets.size)):
         ids = tokens[offsets[i]:offsets[j]]
         yield np.insert(ids, offsets[i:j] - offsets[i], np.diff(offsets[i:j + 1])).astype("<u4", copy=False)
+
+
+def _chunk_spans(starts: np.ndarray):
+    """``(i, j)`` of each chunk of whole sequences ``i..j-1`` of a ``DEPT`` body.
+
+    ``starts`` holds the body word index of each sequence's length word,
+    then the body size. A chunk spans at most ``_CHUNK_WORDS`` body words
+    unless one sequence alone is longer.
+    """
+    i, n = 0, starts.size - 1
+    while i < n:
+        j = max(i + 1, int(np.searchsorted(starts, starts[i] + _CHUNK_WORDS, "right")) - 1)
+        yield i, j
         i = j
 
 
@@ -175,13 +188,13 @@ def read_dataset_binary(path) -> TokenizedDataset:
     body = body.astype(TOKEN_DTYPE, copy=False)
     if num_sequences > body.size:
         raise FormatError(f"header declares {num_sequences} sequences but the body holds only {body.size} words")
-    # Walk the length words: sequence i's length is body word length_at[i].
-    length_at = np.empty(num_sequences, dtype=np.int64)
-    words, starts = memoryview(body), memoryview(length_at)
+    # Walk the length words: sequence i's length is body word starts[i].
+    starts = np.empty(num_sequences + 1, dtype=np.int64)
+    words, marks = memoryview(body), memoryview(starts)
     pos = 0
     try:
         for i in range(num_sequences):
-            starts[i] = pos
+            marks[i] = pos
             pos += words[pos] + 1
     except IndexError:
         raise FormatError(f"unexpected end of file while reading sequence {i} length") from None
@@ -189,9 +202,13 @@ def read_dataset_binary(path) -> TokenizedDataset:
         raise FormatError(f"unexpected end of file while reading sequence {num_sequences - 1} ids")
     if pos < body.size:
         raise FormatError("trailing data after declared content")
-    offsets = np.zeros(num_sequences + 1, dtype=np.int64)
-    np.cumsum(body[length_at], dtype=np.int64, out=offsets[1:])
-    return TokenizedDataset.from_flat(np.delete(body, length_at), offsets, int(vocab_size))
+    starts[-1] = pos
+    offsets = starts - np.arange(num_sequences + 1)
+    # Move the ids left over the length words in place, one chunk at a time. A
+    # chunk's ids land at or before where they were read, never on an unread word.
+    for i, j in _chunk_spans(starts):
+        body[offsets[i]:offsets[j]] = np.delete(body[starts[i]:starts[j]], starts[i:j] - starts[i])
+    return TokenizedDataset.from_flat(body[:offsets[-1]], offsets, int(vocab_size))
 
 
 def write_dataset_text(dataset: TokenizedDataset, path) -> None:
@@ -345,15 +362,21 @@ def read_embeddings(path, rows=None) -> EmbeddingMatrix:
     """The whole ``DEPE`` matrix, or with ``rows`` only those rows: output row ``j`` is row ``rows[j]``.
 
     The header and size are checked as :func:`open_embeddings` checks them,
-    under the same open file. Rows are read in id order, one ``preadv`` per
-    run of consecutive ids, straight into their output rows, so nothing
-    else of the payload is held. Ids may repeat; one outside the matrix
-    is :class:`FormatError`.
+    under the same open file. The whole matrix is one ``preadv`` into its
+    buffer. Selected rows are read in id order, one ``preadv`` per run of
+    consecutive ids, straight into their output rows, so nothing else of
+    the payload is held. Ids may repeat; one outside the matrix is
+    :class:`FormatError`.
     """
     with _open(path) as handle:
         fields, values = _read_header(handle, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC)
         total, dim = _check_embeddings(fields, values)
-        ids = np.arange(total) if rows is None else np.asarray(rows)
+        if rows is None:
+            out = np.empty((total, dim), dtype="<f4")
+            views = [memoryview(out).cast("B")] if out.size else []
+            _read_into(handle.fileno(), views, _EMBEDDINGS_HEADER.size, path)
+            return EmbeddingMatrix(out)
+        ids = np.asarray(rows)
         if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
             raise ValueError("rows must be a one-dimensional sequence of integer ids")
         if ids.size and not 0 <= int(ids.min()) <= int(ids.max()) < total:

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import tracemalloc
 from importlib import resources
 from unittest import mock
 
@@ -41,15 +42,19 @@ def reference_dataset_bytes(dataset):
 
 
 class TestDatasetFiles:
-    @given(token_datasets())
-    def test_binary_roundtrip(self, dataset):
+    @given(token_datasets(max_sequences=12), st.sampled_from([1, 2, 3, 7, formats._CHUNK_WORDS]))
+    def test_binary_roundtrip(self, dataset, chunk_words):
+        """Any chunk size reads back the written dataset, with empty, no and longer-than-a-chunk sequences."""
         import tempfile, os
 
         fd, path = tempfile.mkstemp(suffix=".dept")
         os.close(fd)
         try:
-            formats.write_dataset_binary(dataset, path)
-            assert formats.read_dataset_binary(path) == dataset
+            with mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
+                formats.write_dataset_binary(dataset, path)
+                read = formats.read_dataset_binary(path)
+            assert read == dataset
+            assert read.tokens.dtype == np.uint32 and read.tokens.flags.c_contiguous
         finally:
             os.unlink(path)
 
@@ -172,12 +177,36 @@ class TestDatasetFiles:
         fd, path = tempfile.mkstemp(suffix=".dept")
         os.close(fd)
         try:
-            with mock.patch.object(formats, "_WRITE_CHUNK_WORDS", chunk_words):
+            with mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
                 formats.write_dataset_binary(dataset, path)
             with open(path, "rb") as handle:
                 assert handle.read() == reference_dataset_bytes(dataset)
         finally:
             os.unlink(path)
+
+    def test_reader_holds_the_ids_once(self, tmp_path, monkeypatch):
+        """Reading N body words allocates under 1.25 x 4N bytes: the ids are compacted inside the file's buffer.
+
+        The chunk is scaled down with the file, so the bound measures the
+        reader's layout rather than the fixed size of one chunk's temporaries.
+        """
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(0, 200, size=10_000)
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        tokens = rng.integers(0, 30_000, size=int(offsets[-1]), dtype=np.uint32)
+        path = tmp_path / "d.dept"
+        formats.write_dataset_binary(TokenizedDataset.from_flat(tokens, offsets, 30_000), path)
+        body_words = tokens.size + lengths.size
+        monkeypatch.setattr(formats, "_CHUNK_WORDS", 1 << 14)
+        tracemalloc.start()
+        try:
+            read = formats.read_dataset_binary(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read.tokens, tokens) and np.array_equal(read.offsets, offsets)
+        assert peak < 1.25 * 4 * body_words
 
     def test_text_out_of_range_reports_location(self, tmp_path):
         path = tmp_path / "data.txt"
@@ -210,6 +239,21 @@ class TestDatasetFiles:
         assert formats.read_dataset(binary) == dataset
         with pytest.raises(InconsistentInputs):
             formats.read_dataset(binary, vocab_size=5)
+
+
+def _truncated_after_size_check(tmp_path, monkeypatch):
+    """A 4 x 2 ``DEPE`` file that loses its last row right after ``_check_embeddings`` accepts its size."""
+    path = tmp_path / "emb.depe"
+    formats.write_embeddings(EmbeddingMatrix(np.ones((4, 2), dtype=np.float32)), path)
+    check = formats._check_embeddings
+
+    def check_then_truncate(fields, values):
+        shape = check(fields, values)
+        path.write_bytes(path.read_bytes()[:-8])
+        return shape
+
+    monkeypatch.setattr(formats, "_check_embeddings", check_then_truncate)
+    return path
 
 
 class TestEmbeddingFiles:
@@ -318,16 +362,7 @@ class TestEmbeddingFiles:
         assert (tmp_path / "p").read_bytes() == (tmp_path / "m").read_bytes()
 
     def test_file_truncated_after_its_size_check_is_bad_format(self, tmp_path, monkeypatch):
-        path = tmp_path / "emb.depe"
-        formats.write_embeddings(EmbeddingMatrix(np.ones((4, 2), dtype=np.float32)), path)
-        check = formats._check_embeddings
-
-        def check_then_truncate(fields, values):
-            shape = check(fields, values)
-            path.write_bytes(path.read_bytes()[:-8])
-            return shape
-
-        monkeypatch.setattr(formats, "_check_embeddings", check_then_truncate)
+        path = _truncated_after_size_check(tmp_path, monkeypatch)
         with pytest.raises(FormatError, match="changed after it was validated"):
             formats.read_embeddings(path, rows=[3])
 
@@ -345,6 +380,32 @@ class TestEmbeddingFiles:
             selected = formats.read_embeddings(path, rows=rows)
         assert [[len(view) for view in call.args[1]] for call in preadv.call_args_list] == calls
         assert selected == EmbeddingMatrix(matrix.data[rows])
+
+    def test_whole_matrix_is_one_preadv(self, tmp_path):
+        matrix = EmbeddingMatrix(np.random.default_rng(5).standard_normal((9, 3)).astype(np.float32))
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(matrix, path)
+        with mock.patch("os.preadv", wraps=os.preadv) as preadv:
+            assert formats.read_embeddings(path) == matrix
+        assert [[len(view) for view in call.args[1]] for call in preadv.call_args_list] == [[9 * 12]]
+
+    def test_whole_matrix_allocates_only_its_buffer(self, tmp_path):
+        matrix = EmbeddingMatrix(np.random.default_rng(5).standard_normal((20_000, 2)).astype(np.float32))
+        path = tmp_path / "emb.depe"
+        formats.write_embeddings(matrix, path)
+        tracemalloc.start()
+        try:
+            read = formats.read_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == matrix
+        assert peak < matrix.data.nbytes + 16_384
+
+    def test_whole_matrix_truncated_after_its_size_check_is_bad_format(self, tmp_path, monkeypatch):
+        path = _truncated_after_size_check(tmp_path, monkeypatch)
+        with pytest.raises(FormatError, match="changed after it was validated"):
+            formats.read_embeddings(path)
 
     def test_header_is_little_endian_layout(self, tmp_path):
         path = tmp_path / "emb.depe"
