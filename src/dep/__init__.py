@@ -38,6 +38,7 @@ from .errors import (
     UnmappedToken,
     UnsupportedVersion,
     UnwritableOutput,
+    VocabTooLarge,
 )
 from .metrics import (
     ModelConfig,
@@ -91,6 +92,7 @@ __all__ = [
     "UnsupportedVersion",
     "UnwritableOutput",
     "ValidationSummary",
+    "VocabTooLarge",
     "apply_remap",
     "build_remap",
     "count_params",

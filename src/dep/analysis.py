@@ -14,7 +14,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import DegenerateFit, InsufficientPoints
-from .vocab import FrequencyTable, TokenizedDataset
+from .vocab import FrequencyTable, TokenizedDataset, _vocab_arrays
 
 CheckpointPolicy = Union[str, Iterable[int]]
 
@@ -111,7 +111,8 @@ def _first_positions(stream: np.ndarray, vocab_size: int) -> np.ndarray:
     the earliest of a repeated new id, so past the first chunks the pass
     is linear in the stream; it never sorts the whole stream.
     """
-    seen = np.zeros(vocab_size, dtype=bool)
+    with _vocab_arrays(vocab_size):
+        seen = np.zeros(vocab_size, dtype=bool)
     found = []
     for start in range(0, stream.size, _SCAN_CHUNK):
         chunk = stream[start:start + _SCAN_CHUNK]

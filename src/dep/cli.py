@@ -24,6 +24,7 @@ import os
 import shutil
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 from . import formats
@@ -55,6 +56,12 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
     under its own name into one staging directory inside ``--out`` and
     renamed into place only once all of them are written, so a failed run
     leaves the previous set untouched.
+
+    A payload may be a producer, called with no arguments just before its
+    write. The files are written in ``outputs`` order, and each entry is
+    taken out of ``outputs`` and let go once its file is written, so a
+    large payload is freed before the next one is made. Only an ``OSError``
+    of a writer is an output error; a producer's errors are its own.
     """
     paths = [args.out / name for name in outputs]
     try:
@@ -68,13 +75,21 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
     except OSError as err:
         raise UnwritableOutput(args.out, str(err)) from None
     try:
-        for path, (writer, payload) in zip(paths, outputs.values()):
-            writer(payload, stage / path.name)
         for path in paths:
-            os.replace(stage / path.name, path)
+            writer, payload = outputs.pop(path.name)
+            if callable(payload):
+                payload = payload()
+            try:
+                writer(payload, stage / path.name)
+            except OSError as err:
+                raise UnwritableOutput(path, str(err)) from None
+            del writer, payload
+        for path in paths:
+            try:
+                os.replace(stage / path.name, path)
+            except OSError as err:
+                raise UnwritableOutput(path, str(err)) from None
             log.info("wrote %s", path)
-    except OSError as err:
-        raise UnwritableOutput(path, str(err)) from None
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
@@ -103,7 +118,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "top_tokens": [[int(used[i]), int(used_counts[i])] for i in top_order],
         "heaps_fit": heaps,
         "unused_token_count": int(unused.size),
-        "unused_tokens": [int(t) for t in unused],
+        "unused_tokens": unused,
     }
     _write_outputs(args, {"stats.json": (formats.write_json, stats),
                           "growth.csv": (formats.write_growth_csv, curve)})
@@ -127,15 +142,16 @@ def cmd_prune(args: argparse.Namespace) -> int:
         )
     freqs = scan_dataset_parallel(dataset, args.partitions)
     remap = build_remap(freqs, args.ordering, args.keep)
-    remapped = apply_remap(dataset, remap)
-    del dataset
-    pruned = prune_embeddings(original, remap)
     dataset_name = "pruned_dataset.txt" if formats.is_text_dataset(args.dataset) else "pruned_dataset.dept"
-    _write_outputs(args, {"pruned_embeddings.depe": (formats.write_embeddings, pruned),
-                          "remap.json": (formats.write_remap, remap),
-                          dataset_name: (formats.write_dataset, remapped)})
+    # The ids are remapped in place and written first; _write_outputs then drops the only reference to them,
+    # so the kept rows, read last, are never held together with the ids.
+    outputs = {dataset_name: (formats.write_dataset, partial(apply_remap, dataset, remap, in_place=True)),
+               "remap.json": (formats.write_remap, remap),
+               "pruned_embeddings.depe": (formats.write_embeddings, partial(prune_embeddings, original, remap))}
+    del dataset
+    _write_outputs(args, outputs)
     print(
-        f"pruned embeddings {remap.original_vocab_size} -> {pruned.rows} rows "
+        f"pruned embeddings {remap.original_vocab_size} -> {remap.reduced_size} rows "
         f"(kept {remap.reduced_size}, ordering {remap.ordering.value})"
     )
     return EXIT_OK

@@ -60,6 +60,17 @@ class KeepTokenOutOfRange(DepError):
         super().__init__(f"keep token {token_id} is out of range for vocab_size {vocab_size}")
 
 
+class VocabTooLarge(DepError):
+    """The arrays with one entry per vocabulary id cannot be allocated."""
+
+    code = "VOCAB_TOO_LARGE"
+    exit_status = 2
+
+    def __init__(self, vocab_size: int):
+        self.vocab_size = vocab_size
+        super().__init__(f"vocabulary of {vocab_size} ids needs more memory than this process can allocate")
+
+
 class ShapeMismatch(DepError):
     """Matrix and remap (or matrices) disagree on a dimension."""
 

@@ -397,20 +397,29 @@ def read_embeddings(path, rows=None) -> EmbeddingMatrix:
     return EmbeddingMatrix(out)
 
 
+def _dumps_ids_last(obj: dict) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"`` for a dict whose last value is an integer array of ids or of id rows.
+
+    That array is listed as ``json.dumps`` would list it, but formatted
+    from one fixed pattern per item rather than by ``json``'s pure-Python
+    encoder, which ``indent`` selects.
+    """
+    *head, (key, ids) = obj.items()
+    text = json.dumps({**dict(head), key: []}, indent=2) + "\n"
+    if not len(ids):
+        return text
+    item = "    {}" if ids.ndim == 1 else "    [\n" + ",\n".join(["      {}"] * ids.shape[1]) + "\n    ]"
+    listed = ",\n".join([item] * len(ids)).format(*ids.ravel().tolist())  # one format call for the whole list
+    return text.removesuffix("[]\n}\n") + "[\n" + listed + "\n  ]\n}\n"
+
+
 def remap_to_json(remap: RemapTable) -> str:
-    obj = {
+    return _dumps_ids_last({
         "original_vocab_size": remap.original_vocab_size,
         "ordering": remap.ordering.value,
         "keep_tokens": list(remap.keep_tokens),
-        "pairs": [],
-    }
-    text = json.dumps(obj, indent=2)
-    if remap.reduced_size:
-        # The bytes json.dumps(indent=2) gives the pairs, without its pure-Python encoder.
-        pairs = ",\n".join(f"    [\n      {orig},\n      {dense}\n    ]"
-                           for dense, orig in enumerate(remap.inverse.tolist()))
-        text = text.removesuffix("[]\n}") + f"[\n{pairs}\n  ]\n}}"
-    return text + "\n"
+        "pairs": np.column_stack((remap.inverse, np.arange(remap.reduced_size))),
+    })
 
 
 def write_remap(remap: RemapTable, path) -> None:
@@ -463,8 +472,9 @@ def write_growth_csv(curve: GrowthCurve, path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+def write_json(obj: dict, path) -> None:
+    """``obj`` as ``json.dumps(obj, indent=2)`` and a newline; its last value is an integer array, written as a list."""
+    Path(path).write_text(_dumps_ids_last(obj), encoding="utf-8")
 
 
 _CONFIG_REQUIRED = ("vocab_size", "d_model", "num_layers", "num_heads")

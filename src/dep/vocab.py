@@ -14,13 +14,18 @@ flat position is turned back into a (sequence, position) pair only to
 report an error.
 
 All types are immutable after construction (arrays are stored as read-only
-views) and safe to share between threads. Counting runs on one thread over
-fixed-size slices of ``tokens``, so its temporaries stay bounded whatever
-the corpus size.
+views) and safe to share between threads. The one exception is a dataset
+handed over to ``apply_remap(dataset, remap, in_place=True)``: the dense ids
+are written over its token buffer, so the caller must not use it, or any
+view of its arrays, afterwards. Counting and in-place remapping run on one
+thread over fixed-size slices of ``tokens``, so their temporaries stay
+bounded whatever the corpus size. A ``MemoryError`` while allocating the
+arrays that hold one entry per vocabulary id is :class:`VocabTooLarge`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -28,7 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import KeepTokenOutOfRange, OutOfRangeToken, UnmappedToken
+from .errors import KeepTokenOutOfRange, OutOfRangeToken, UnmappedToken, VocabTooLarge
 
 TOKEN_DTYPE = np.uint32
 MAX_VOCAB_SIZE = 2**32  # ids are u32
@@ -36,8 +41,17 @@ MAX_VOCAB_SIZE = 2**32  # ids are u32
 COUNT_DTYPE = np.int64
 # Forward-LUT entry of an id outside the remap domain; never below reduced_size.
 _UNMAPPED = np.iinfo(TOKEN_DTYPE).max
-# Tokens counted per bincount call; bounds its int64 temporaries.
+# Tokens per bincount call or in-place remap slice; bounds their temporaries.
 _COUNT_CHUNK = 1 << 20
+
+
+@contextmanager
+def _vocab_arrays(vocab_size: int):
+    """Allocate the arrays with one entry per vocabulary id in here: a ``MemoryError`` is :class:`VocabTooLarge`."""
+    try:
+        yield
+    except MemoryError:
+        raise VocabTooLarge(vocab_size) from None
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -268,7 +282,8 @@ class RemapTable:
         # Dense ids over the full original vocab plus one last entry for every
         # id beyond it, uint32 so a gather through it needs no wider temporary;
         # unmapped ids hold _UNMAPPED.
-        lut = np.full(self.original_vocab_size + 1, _UNMAPPED, dtype=TOKEN_DTYPE)
+        with _vocab_arrays(self.original_vocab_size):
+            lut = np.full(self.original_vocab_size + 1, _UNMAPPED, dtype=TOKEN_DTYPE)
         lut[self.inverse] = np.arange(self.reduced_size, dtype=TOKEN_DTYPE)
         return _read_only(lut)
 
@@ -286,9 +301,10 @@ class RemapTable:
 def scan_dataset(dataset: TokenizedDataset) -> FrequencyTable:
     """Count occurrences of every vocabulary id across the whole dataset."""
     tokens, vocab_size = dataset.tokens, dataset.vocab_size
-    counts = np.zeros(vocab_size, dtype=COUNT_DTYPE)
-    for start in range(0, tokens.size, _COUNT_CHUNK):
-        counts += np.bincount(tokens[start:start + _COUNT_CHUNK], minlength=vocab_size)
+    with _vocab_arrays(vocab_size):
+        counts = np.zeros(vocab_size, dtype=COUNT_DTYPE)
+        for start in range(0, tokens.size, _COUNT_CHUNK):
+            counts += np.bincount(tokens[start:start + _COUNT_CHUNK], minlength=vocab_size)
     return FrequencyTable(counts)
 
 
@@ -328,14 +344,24 @@ def build_remap(
     return RemapTable(freqs.vocab_size, domain, ordering, tuple(keep))
 
 
-def apply_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDataset:
+def apply_remap(dataset: TokenizedDataset, remap: RemapTable, in_place: bool = False) -> TokenizedDataset:
     """Rewrite every original token id to its dense id in ``remap``.
 
     Sequence structure is preserved exactly; the output declares the
     reduced vocabulary size. An id outside the mapping domain raises
     :class:`UnmappedToken`, which signals a remap built from a different
     corpus.
+
+    By default the result is a new array of ids. With ``in_place=True`` the
+    caller hands ``dataset`` over, as with :meth:`TokenizedDataset.from_flat`:
+    the dense ids are written over its token buffer one bounded slice at a
+    time, and the result is a dataset over that buffer, so the ids are held
+    once. After the call, whether it returns or raises, ``dataset`` must not
+    be used. A buffer that cannot be made writable is copied once and left
+    as it was.
     """
+    if in_place:
+        return _apply_remap_in_place(dataset, remap)
     tokens, lut = dataset.tokens, remap._forward_lut
     if tokens.size and int(tokens.max()) >= lut.size:  # only a foreign corpus gets here
         tokens = np.minimum(tokens, lut.size - 1)
@@ -344,6 +370,25 @@ def apply_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDatase
     except OutOfRangeToken as err:  # report the original id, not its _UNMAPPED entry
         flat_pos = int(dataset.offsets[err.sequence_index]) + err.position
         raise UnmappedToken(err.sequence_index, err.position, int(dataset.tokens[flat_pos])) from None
+
+
+def _apply_remap_in_place(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDataset:
+    lut, offsets = remap._forward_lut, dataset.offsets
+    tokens = dataset.tokens.view()
+    try:
+        tokens.flags.writeable = True
+    except ValueError:  # the buffer underneath is read-only
+        tokens = dataset.tokens.copy()
+    for start in range(0, tokens.size, _COUNT_CHUNK):
+        piece = tokens[start:start + _COUNT_CHUNK]
+        # Indexing casts the ids in a small buffer, where take() makes an intp copy of the slice. An id past
+        # the vocabulary, which only a foreign corpus has, clips to lut's last entry, which is unmapped.
+        mapped = lut[piece] if int(piece.max()) < lut.size else np.take(lut, piece, mode="clip")
+        if int(mapped.max()) >= remap.reduced_size:  # check before writing back, to report the original id
+            at = int(np.argmax(mapped >= remap.reduced_size))
+            raise UnmappedToken(*_locate(offsets, start + at), int(piece[at]))
+        piece[:] = mapped
+    return TokenizedDataset.from_flat(tokens, offsets, remap.reduced_size)
 
 
 def invert_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDataset:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -159,6 +160,58 @@ class TestHostileHeaders:
         assert run(command, *argv[command], "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert _ERROR_LINE.fullmatch(err) and err.startswith("BAD_FORMAT: embedding dim ")
+
+
+def _limited_child(argv, limit_bytes):
+    """Run ``python argv`` with ``dep`` importable, under an address-space limit that binds only the child."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    return subprocess.run([sys.executable, *argv], env=env, preexec_fn=limit, capture_output=True, text=True,
+                          timeout=60)
+
+
+_VOCAB_ARRAYS = """
+import numpy as np
+from dep import RemapTable, VocabTooLarge
+from dep.analysis import _first_positions
+for name, make in [("dense-id table", lambda: RemapTable(2**32, [0])._forward_lut),
+                   ("seen mask", lambda: _first_positions(np.zeros(1, dtype=np.uint32), 2**32))]:
+    try:
+        make()
+    except VocabTooLarge as err:
+        print(name, err.code, err.exit_status)
+"""
+
+
+class TestVocabTooLarge:
+    """A vocabulary whose per-id arrays cannot be allocated exits 2 with ``VOCAB_TOO_LARGE``, not 1."""
+
+    _LIMIT = 2 * 2**30  # well below the 32 GiB of counts for 2**32 ids
+
+    @pytest.mark.parametrize("command", ["analyze", "prune"])
+    def test_cli_exits_2(self, tmp_path, command):
+        dataset = tmp_path / "huge.dept"
+        dataset.write_bytes(_dept(2**32, 1, struct.pack("<II", 1, 7)))
+        argv = ["-m", "dep", command, "--dataset", str(dataset), "--out", str(tmp_path / "out")]
+        if command == "prune":  # a sparse 2**32 x 1 matrix: prune only checks its header and size up front
+            matrix = tmp_path / "huge.depe"
+            matrix.write_bytes(struct.pack("<4sIBQQ", b"DEPE", 1, 1, 2**32, 1))
+            os.truncate(matrix, matrix.stat().st_size + 4 * 2**32)
+            argv += ["--embeddings", str(matrix)]
+        result = _limited_child(argv, self._LIMIT)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == ("VOCAB_TOO_LARGE: vocabulary of 4294967296 ids needs more memory "
+                                 "than this process can allocate\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_dense_id_table_and_seen_mask(self):
+        result = _limited_child(["-c", _VOCAB_ARRAYS], self._LIMIT)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "dense-id table VOCAB_TOO_LARGE 2\nseen mask VOCAB_TOO_LARGE 2\n"
 
 
 class TestBadFlags:
@@ -794,6 +847,30 @@ class TestStreamedPrune:
         err = capsys.readouterr().err
         assert _ERROR_LINE.fullmatch(err) and err.startswith(f"{error}: ")
         assert _listing(out) == before
+
+    def test_row_read_failing_after_the_dataset_was_written_keeps_previous_set(self, workspace, capsys,
+                                                                                monkeypatch):
+        """The dataset is written before the kept rows are read; a row read that then fails keeps its own exit."""
+        tmp_path, _, _, dataset_path, matrix_path, _ = workspace
+        out = tmp_path / "pruned"
+        argv = ["prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--out", out, "--force"]
+        assert run(*argv) == 0
+        before = _listing(out)
+        capsys.readouterr()
+        calls = []
+        for name in ("write_dataset", "read_embeddings"):
+            def record(*args, _name=name, _original=getattr(formats, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(formats, name, record)
+        change, code, error = _CHANGES_AFTER_VALIDATION[-1].values  # the matrix is deleted: exit 5
+        _change_after_validation(monkeypatch, change)
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert _ERROR_LINE.fullmatch(err) and err.startswith(f"{error}: ")
+        assert calls == ["write_dataset", "read_embeddings"]
+        assert _listing(out) == before and not list(out.glob(".dep-*"))
 
     def test_peak_allocation_is_below_the_matrix(self, tmp_path):
         """With 1% of ids used, prune allocates far less than the matrix payload: it never holds the whole matrix."""

@@ -568,6 +568,34 @@ class TestRemapFiles:
             formats.read_remap(path)
 
 
+_ID_LISTS = st.one_of(
+    st.just([]),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=1),
+    st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=300),
+)
+
+
+class TestIdListJson:
+    """``write_json`` and ``remap_to_json`` list ids from a fixed pattern, with ``json.dumps(indent=2)``'s bytes."""
+
+    @given(head=st.dictionaries(st.text(max_size=5).filter(lambda key: key != "ids"),
+                                st.integers() | st.text(max_size=5) | st.none(), max_size=3),
+           ids=_ID_LISTS, rows=st.integers(1, 3))
+    def test_bytes_are_json_dumps_indent_2(self, head, ids, rows):
+        flat = np.array(ids, dtype=np.uint32)
+        grid = np.array(ids[:len(ids) // rows * rows], dtype=np.int64).reshape(-1, rows)
+        for array in (flat, grid):
+            obj = {**head, "ids": array}
+            expected = json.dumps({**head, "ids": array.tolist()}, indent=2) + "\n"
+            assert formats._dumps_ids_last(obj) == expected
+
+    @given(ids=_ID_LISTS)
+    def test_write_json(self, tmp_path_factory, ids):
+        path = tmp_path_factory.mktemp("json") / "stats.json"
+        formats.write_json({"vocab_size": 7, "unused_tokens": np.array(ids, dtype=np.int64)}, path)
+        assert path.read_text() == json.dumps({"vocab_size": 7, "unused_tokens": ids}, indent=2) + "\n"
+
+
 class TestReportAndCurveFiles:
     def test_report_roundtrip(self, tmp_path):
         config = ModelConfig(100, 8, 2, 2, max_positions=4, type_vocab=1, name="toy")

@@ -202,6 +202,72 @@ class TestApplyInvertRemap:
         assert apply_remap(full, remap) == full
 
 
+def _remap_outcome(remap_once):
+    """The dataset a remap gives, or the fields of the ``UnmappedToken`` it raises."""
+    try:
+        return remap_once()
+    except UnmappedToken as err:
+        return ("UnmappedToken", err.sequence_index, err.position, err.token_id, str(err))
+
+
+def _handed_over(dataset: TokenizedDataset) -> TokenizedDataset:
+    """A copy of ``dataset`` over a fresh writable buffer, for an in-place remap to consume."""
+    return TokenizedDataset.from_flat(dataset.tokens.copy(), dataset.offsets.copy(), dataset.vocab_size)
+
+
+@st.composite
+def _foreign_remaps(draw):
+    """(dataset, remap): the remap maps all but at most two ids of a vocabulary smaller than the dataset's,
+    or up to 8 ids larger, so a dataset id may be unmapped or lie at or past its ``original_vocab_size``."""
+    dataset = draw(token_datasets(max_vocab=24))
+    original = draw(st.integers(0, dataset.vocab_size + 8))
+    dropped = draw(st.sets(st.integers(0, original - 1), max_size=2)) if original else set()
+    return dataset, RemapTable(original, draw(st.permutations(sorted(set(range(original)) - dropped))))
+
+
+class TestApplyRemapInPlace:
+    """``apply_remap(..., in_place=True)`` gives the copying result, without a second copy of the ids."""
+
+    @given(st.one_of(datasets_with_remaps(max_vocab=24), _foreign_remaps()),
+           st.sampled_from([1, 2, 3, 7, vocab._COUNT_CHUNK]))
+    def test_matches_copying_remap(self, instance, chunk):
+        dataset, remap = instance
+        expected = _remap_outcome(lambda: apply_remap(dataset, remap))
+        with patch.object(vocab, "_COUNT_CHUNK", chunk):
+            assert _remap_outcome(lambda: apply_remap(_handed_over(dataset), remap, in_place=True)) == expected
+
+    def test_empty_dataset(self):
+        for dataset in (TokenizedDataset((), 4), TokenizedDataset(([], []), 4)):
+            remapped = apply_remap(_handed_over(dataset), RemapTable(4, [1, 3]), in_place=True)
+            assert remapped == apply_remap(dataset, RemapTable(4, [1, 3]))
+
+    def test_writes_the_dense_ids_over_the_handed_over_buffer(self):
+        tokens = np.array([1, 3, 1, 3], dtype=np.uint32)
+        dataset = TokenizedDataset.from_flat(tokens, np.array([0, 3, 4]), 4)
+        remapped = apply_remap(dataset, RemapTable(4, [3, 1]), in_place=True)
+        assert remapped.to_lists() == [[1, 0, 1], [0]] and remapped.vocab_size == 2
+        assert np.shares_memory(remapped.tokens, tokens) and tokens.tolist() == [1, 0, 1, 0]
+        assert not remapped.tokens.flags.writeable
+
+    @pytest.mark.parametrize("read_only", [
+        pytest.param(lambda ids: np.frombuffer(ids.tobytes(), dtype=np.uint32), id="over-bytes"),
+        pytest.param(lambda ids: ids, id="marked-read-only"),
+    ])
+    def test_read_only_buffer_is_copied_and_left_unchanged(self, read_only):
+        tokens = read_only(np.array([1, 3, 1, 2], dtype=np.uint32))
+        tokens.flags.writeable = False  # numpy then refuses to make any view of it writable
+        dataset = TokenizedDataset.from_flat(tokens, np.array([0, 2, 4]), 4)
+        remapped = apply_remap(dataset, RemapTable(4, [1, 2, 3]), in_place=True)
+        assert remapped.to_lists() == [[0, 2], [0, 1]]
+        assert tokens.tolist() == [1, 3, 1, 2] and not np.shares_memory(remapped.tokens, tokens)
+
+    def test_unmapped_id_reports_the_original_id_after_earlier_slices_were_written(self):
+        dataset = TokenizedDataset(([1, 3], [1, 2, 3]), 4)
+        with patch.object(vocab, "_COUNT_CHUNK", 2), pytest.raises(UnmappedToken) as err:
+            apply_remap(dataset, RemapTable(4, [1, 3]), in_place=True)
+        assert (err.value.sequence_index, err.value.position, err.value.token_id) == (1, 1, 2)
+
+
 class TestDatasetType:
     def test_ragged_sequences_allowed(self):
         dataset = TokenizedDataset(([1], [], [2, 3, 4]), 5)
