@@ -16,10 +16,8 @@ from .analysis import (
 )
 from .embeddings import (
     EmbeddingMatrix,
-    ValidationSummary,
     prune_embeddings,
     restore_embeddings,
-    validate_matrix,
 )
 from .errors import (
     BadMagic,
@@ -91,7 +89,6 @@ __all__ = [
     "UnmappedToken",
     "UnsupportedVersion",
     "UnwritableOutput",
-    "ValidationSummary",
     "VocabTooLarge",
     "apply_remap",
     "build_remap",
@@ -109,5 +106,4 @@ __all__ = [
     "restore_embeddings",
     "scan_dataset",
     "scan_dataset_parallel",
-    "validate_matrix",
 ]

@@ -1,4 +1,4 @@
-"""Embedding matrices: validation, row gather (prune), row scatter (restore).
+"""Embedding matrices: row gather (prune) and row scatter (restore).
 
 Gather and scatter are bit-exact row copies, never recomputation, so a
 model restored after fine-tuning is structurally identical to the
@@ -68,41 +68,6 @@ class RowPatch:
     base: EmbeddingFile
     ids: np.ndarray
     data: np.ndarray
-
-
-@dataclass(frozen=True)
-class ValidationSummary:
-    """Shape, non-finite entry count, and value range of a matrix.
-
-    ``min_value``/``max_value`` cover finite entries only and are ``None``
-    when the matrix has no finite entries.
-    """
-
-    rows: int
-    dim: int
-    nonfinite_count: int
-    min_value: float | None
-    max_value: float | None
-
-    @property
-    def all_finite(self) -> bool:
-        return self.nonfinite_count == 0
-
-
-def validate_matrix(matrix: EmbeddingMatrix) -> ValidationSummary:
-    """Report shape, count of NaN/Inf entries, and the finite value range."""
-    data = matrix.data
-    finite = np.isfinite(data)
-    n_finite = int(finite.sum())
-    nonfinite = int(data.size - n_finite)
-    if n_finite == 0:
-        lo = hi = None
-    elif nonfinite == 0:
-        lo, hi = float(data.min()), float(data.max())
-    else:
-        vals = data[finite]
-        lo, hi = float(vals.min()), float(vals.max())
-    return ValidationSummary(matrix.rows, matrix.dim, nonfinite, lo, hi)
 
 
 def prune_embeddings(matrix: EmbeddingMatrix | EmbeddingFile, remap: RemapTable) -> EmbeddingMatrix:

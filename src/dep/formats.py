@@ -239,6 +239,7 @@ def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
     del lines
     offsets = np.cumsum([0] + [row.size for row in parsed], dtype=np.int64)
     ids = np.concatenate([np.empty(0, dtype=np.int64), *parsed])
+    del parsed  # the joined ids replace the per-line arrays; do not hold both through the uint32 copy
     if vocab_size is None:
         vocab_size = min(max(int(ids.max(initial=-1)) + 1, 0), MAX_VOCAB_SIZE)
     _check_vocab_size(vocab_size)

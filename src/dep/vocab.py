@@ -17,15 +17,15 @@ All types are immutable after construction (arrays are stored as read-only
 views) and safe to share between threads. The one exception is a dataset
 handed over to ``apply_remap(dataset, remap, in_place=True)``: the dense ids
 are written over its token buffer, so the caller must not use it, or any
-view of its arrays, afterwards. Counting and in-place remapping run on one
-thread over fixed-size slices of ``tokens``, so their temporaries stay
-bounded whatever the corpus size. A ``MemoryError`` while allocating the
-arrays that hold one entry per vocabulary id is :class:`VocabTooLarge`.
+view of its arrays, afterwards. Counting and remapping run on one thread
+over fixed-size slices of ``tokens``, so their temporaries stay bounded
+whatever the corpus size. A ``MemoryError`` while allocating the arrays
+that hold one entry per vocabulary id is :class:`VocabTooLarge`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -41,8 +41,8 @@ MAX_VOCAB_SIZE = 2**32  # ids are u32
 COUNT_DTYPE = np.int64
 # Forward-LUT entry of an id outside the remap domain; never below reduced_size.
 _UNMAPPED = np.iinfo(TOKEN_DTYPE).max
-# Tokens per bincount call or in-place remap slice; bounds their temporaries.
-_COUNT_CHUNK = 1 << 20
+# Tokens per bincount call or remap slice; bounds their temporaries (bincount casts its slice to intp).
+_COUNT_CHUNK = 1 << 18
 
 
 @contextmanager
@@ -352,43 +352,32 @@ def apply_remap(dataset: TokenizedDataset, remap: RemapTable, in_place: bool = F
     :class:`UnmappedToken`, which signals a remap built from a different
     corpus.
 
-    By default the result is a new array of ids. With ``in_place=True`` the
-    caller hands ``dataset`` over, as with :meth:`TokenizedDataset.from_flat`:
-    the dense ids are written over its token buffer one bounded slice at a
-    time, and the result is a dataset over that buffer, so the ids are held
-    once. After the call, whether it returns or raises, ``dataset`` must not
-    be used. A buffer that cannot be made writable is copied once and left
-    as it was.
+    The ids are remapped one bounded slice at a time. By default the dense
+    ids go into a new array. With ``in_place=True`` the caller hands
+    ``dataset`` over, as with :meth:`TokenizedDataset.from_flat`: the dense
+    ids are written over its token buffer, and the result is a dataset over
+    that buffer, so the ids are held once. After the call, whether it
+    returns or raises, ``dataset`` must not be used. A read-only buffer,
+    which cannot be written over, is left as it was and the dense ids go
+    into a new array.
     """
+    tokens, offsets, lut = dataset.tokens, dataset.offsets, remap._forward_lut
+    out = tokens.view()
     if in_place:
-        return _apply_remap_in_place(dataset, remap)
-    tokens, lut = dataset.tokens, remap._forward_lut
-    if tokens.size and int(tokens.max()) >= lut.size:  # only a foreign corpus gets here
-        tokens = np.minimum(tokens, lut.size - 1)
-    try:
-        return TokenizedDataset.from_flat(lut[tokens], dataset.offsets, remap.reduced_size)
-    except OutOfRangeToken as err:  # report the original id, not its _UNMAPPED entry
-        flat_pos = int(dataset.offsets[err.sequence_index]) + err.position
-        raise UnmappedToken(err.sequence_index, err.position, int(dataset.tokens[flat_pos])) from None
-
-
-def _apply_remap_in_place(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDataset:
-    lut, offsets = remap._forward_lut, dataset.offsets
-    tokens = dataset.tokens.view()
-    try:
-        tokens.flags.writeable = True
-    except ValueError:  # the buffer underneath is read-only
-        tokens = dataset.tokens.copy()
+        with suppress(ValueError):  # numpy refuses to make a view of a read-only buffer writable
+            out.flags.writeable = True
+    if not out.flags.writeable:
+        out = np.empty_like(tokens)
     for start in range(0, tokens.size, _COUNT_CHUNK):
         piece = tokens[start:start + _COUNT_CHUNK]
         # Indexing casts the ids in a small buffer, where take() makes an intp copy of the slice. An id past
         # the vocabulary, which only a foreign corpus has, clips to lut's last entry, which is unmapped.
         mapped = lut[piece] if int(piece.max()) < lut.size else np.take(lut, piece, mode="clip")
-        if int(mapped.max()) >= remap.reduced_size:  # check before writing back, to report the original id
+        if int(mapped.max()) >= remap.reduced_size:  # check before writing, to report the original id
             at = int(np.argmax(mapped >= remap.reduced_size))
             raise UnmappedToken(*_locate(offsets, start + at), int(piece[at]))
-        piece[:] = mapped
-    return TokenizedDataset.from_flat(tokens, offsets, remap.reduced_size)
+        out[start:start + _COUNT_CHUNK] = mapped
+    return TokenizedDataset.from_flat(out, offsets, remap.reduced_size)
 
 
 def invert_remap(dataset: TokenizedDataset, remap: RemapTable) -> TokenizedDataset:

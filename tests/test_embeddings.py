@@ -13,7 +13,6 @@ from dep import (
     prune_embeddings,
     restore_embeddings,
     scan_dataset,
-    validate_matrix,
 )
 
 from _strategies import prune_instances
@@ -148,42 +147,6 @@ class TestRestore:
         pruned = prune_embeddings(matrix, remap)
         assert pruned.rows == remap.reduced_size
         assert restore_embeddings(matrix, pruned, remap) == matrix
-
-
-class TestValidateMatrix:
-    def test_summary_of_small_matrix(self):
-        summary = validate_matrix(EmbeddingMatrix(np.array([[1, 2], [3, 4]], dtype=np.float32)))
-        assert (summary.rows, summary.dim) == (2, 2)
-        assert summary.nonfinite_count == 0
-        assert (summary.min_value, summary.max_value) == (1.0, 4.0)
-        assert summary.all_finite
-
-    def test_counts_nan(self):
-        data = np.ones((2, 2), dtype=np.float32)
-        data[0, 1] = np.nan
-        summary = validate_matrix(EmbeddingMatrix(data))
-        assert summary.nonfinite_count == 1
-        assert not summary.all_finite
-
-    def test_counts_inf_and_range_over_finite_only(self):
-        data = np.array([[np.inf, -2.0], [5.0, np.nan]], dtype=np.float32)
-        summary = validate_matrix(EmbeddingMatrix(data))
-        assert summary.nonfinite_count == 2
-        assert (summary.min_value, summary.max_value) == (-2.0, 5.0)
-
-    def test_no_finite_entries(self):
-        data = np.full((1, 2), np.nan, dtype=np.float32)
-        summary = validate_matrix(EmbeddingMatrix(data))
-        assert summary.min_value is None and summary.max_value is None
-
-    def test_min_max_match_scalar_scan(self):
-        rng = np.random.default_rng(5)
-        data = rng.standard_normal((300, 9)).astype(np.float32)
-        summary = validate_matrix(EmbeddingMatrix(data))
-        lo = hi = float(data[0, 0])
-        for value in data.ravel():
-            lo, hi = min(lo, float(value)), max(hi, float(value))
-        assert (summary.min_value, summary.max_value) == (lo, hi)
 
 
 class TestSizeAccounting:

@@ -27,13 +27,14 @@ _CHUNK = 1 << 14
 #   analyze: the ids once, offsets and the length-word walk, counts, seen mask, unused ids   (10.5 MiB)
 #   prune:   the ids once or the kept rows, never both, with offsets, counts and the
 #            dense-id table; holding the ids and a remapped copy peaked at 16.2 MiB         (9.0 MiB)
-#   prune of a .txt dataset: the text reader's int64 ids (per line, then joined) and their
-#            uint32 copy, 20N in all, plus one small array per line                          (41.9 MiB)
+#   prune of a .txt dataset: the text reader's int64 ids per line and joined, 16N; the lines
+#            are freed before the uint32 copy. Plus one small array per line; holding the
+#            lines through that copy, 20N in all, peaked at 41.9 MiB                           (34.7 MiB)
 #   restore: the learned rows, plus the remap's JSON pairs as Python objects                  (5.3 MiB)
 _BUDGETS = {
     "analyze": lambda c: 4 * c.N + 32 * c.S + 32 * c.V + 1.5 * _MIB,
     "prune": lambda c: max(4 * c.N, 4 * c.R * c.d) + 24 * c.S + 24 * c.V + 0.5 * _MIB,
-    "prune-text": lambda c: 20 * c.N + 128 * c.S + 32 * c.V + 1.5 * _MIB,
+    "prune-text": lambda c: 16 * c.N + 128 * c.S + 32 * c.V + 1.5 * _MIB,
     "restore": lambda c: 4 * c.R * c.d + 128 * c.R + 1.25 * _MIB,
 }
 

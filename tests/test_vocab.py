@@ -1,5 +1,6 @@
 """Frequency scanning, merging, and the dense-id remap bijection."""
 
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -76,6 +77,21 @@ class TestMergeFrequencyTables:
         with patch.object(vocab, "_COUNT_CHUNK", chunk):
             assert scan_dataset_parallel(dataset, partitions) == scan_dataset(dataset)
             assert scan_dataset(dataset).counts.tolist() == expected
+
+
+class TestScanMemory:
+    def test_default_slice_keeps_the_peak_near_the_counts(self):
+        # bincount casts each slice to intp, so the slice size, not the corpus, sets the temporaries.
+        V = 30_522
+        tokens = np.random.default_rng(3).integers(0, V, size=2 << 20, dtype=np.uint32)
+        dataset = TokenizedDataset.from_flat(tokens, np.array([0, tokens.size], dtype=np.int64), V)
+        tracemalloc.start()
+        try:
+            scan_dataset(dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * V + 3 * 2**20, f"scan_dataset peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestFrequencyTableCounts:
@@ -225,15 +241,30 @@ def _foreign_remaps(draw):
     return dataset, RemapTable(original, draw(st.permutations(sorted(set(range(original)) - dropped))))
 
 
+def _naive_remap(dataset: TokenizedDataset, remap: RemapTable):
+    """Reference remap, one id at a time through a dict built from ``remap.inverse``: the dense dataset, or
+    the fields of the ``UnmappedToken`` for the first unmapped id in flat order, as ``_remap_outcome`` gives them."""
+    dense = {orig: d for d, orig in enumerate(remap.inverse.tolist())}
+    out = []
+    for seq, ids in enumerate(dataset.to_lists()):
+        for pos, token in enumerate(ids):
+            if token not in dense:
+                return ("UnmappedToken", seq, pos, token, str(UnmappedToken(seq, pos, token)))
+        out.append([dense[token] for token in ids])
+    return TokenizedDataset(out, remap.reduced_size)
+
+
 class TestApplyRemapInPlace:
-    """``apply_remap(..., in_place=True)`` gives the copying result, without a second copy of the ids."""
+    """``apply_remap`` copying or in place, against a naive reference; in place holds the ids once."""
 
     @given(st.one_of(datasets_with_remaps(max_vocab=24), _foreign_remaps()),
            st.sampled_from([1, 2, 3, 7, vocab._COUNT_CHUNK]))
     def test_matches_copying_remap(self, instance, chunk):
+        """Each mode equals a naive per-id reference, so in place matches copying without sharing its check."""
         dataset, remap = instance
-        expected = _remap_outcome(lambda: apply_remap(dataset, remap))
+        expected = _naive_remap(dataset, remap)
         with patch.object(vocab, "_COUNT_CHUNK", chunk):
+            assert _remap_outcome(lambda: apply_remap(dataset, remap)) == expected
             assert _remap_outcome(lambda: apply_remap(_handed_over(dataset), remap, in_place=True)) == expected
 
     def test_empty_dataset(self):
