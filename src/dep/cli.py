@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="vocabulary size for text datasets (default: max id + 1)")
     p_analyze.add_argument("--partitions", type=_int_at_least(1), default=None,
                            help="any N >= 1; counting runs on one thread, so outputs never depend on N")
-    p_analyze.add_argument("--checkpoints", choices=("pow2", "all"), default="pow2")
+    p_analyze.add_argument("--checkpoints", choices=("pow2", "all"), default="pow2",
+                           help="growth points at powers of two, or at every token (about 300 bytes each)")
     add_out(p_analyze)
 
     p_prune = sub.add_parser("prune", help="write reduced embeddings, remap, and remapped dataset")

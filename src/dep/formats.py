@@ -74,7 +74,6 @@ _DATASET_HEADER = struct.Struct("<4sIQQ")
 _EMBEDDINGS_HEADER = struct.Struct("<4sIBQQ")
 _CHUNK_WORDS = 1 << 20  # body words per chunk; bounds the dataset reader's and writer's temporaries
 _COPY_CALL_BYTES = 1 << 30  # per sendfile(2), under its 2 GiB limit
-_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one preadv may fill
 
 
 @contextmanager
@@ -293,14 +292,10 @@ def _write_patch(patch: RowPatch, path) -> None:
                 pass
         if os.fstat(fd).st_size != len(header) + base.rows * row_bytes or os.pread(fd, len(header), 0) != header:
             raise FormatError(f"embedding matrix {base.path} changed after it was validated")
-        ids = patch.ids.astype(np.int64)
         data = np.ascontiguousarray(patch.data, dtype="<f4")
         # One write per run of dense ids whose original ids are consecutive too.
-        for start, stop in _runs(ids):
-            view, offset = memoryview(data[start:stop]).cast("B"), len(header) + int(ids[start]) * row_bytes
-            while view:  # a single write(2) stops short of 2 GiB
-                written = os.pwrite(fd, view, offset)
-                view, offset = view[written:], offset + written
+        for start, stop in _runs(patch.ids):
+            _transfer(os.pwrite, fd, data[start:stop], len(header) + patch.ids.item(start) * row_bytes, base.path)
     finally:
         os.close(fd)
 
@@ -315,29 +310,25 @@ def _opened(path):
         yield handle
 
 
-def _runs(*ids: np.ndarray) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each maximal run of positions over which every array in ``ids`` steps by exactly +1."""
-    size = len(ids[0])
-    steps = np.ones(max(size - 1, 0), dtype=bool)
-    for values in ids:
-        steps &= np.diff(values) == 1
-    starts = [0, *(np.flatnonzero(~steps) + 1).tolist()] if size else []
-    return list(zip(starts, starts[1:] + [size]))
+def _runs(ids: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each maximal run of positions over which ``ids`` steps by exactly +1."""
+    starts = [0, *(np.flatnonzero(np.diff(ids.astype(np.int64)) != 1) + 1).tolist()] if len(ids) else []
+    return list(zip(starts, starts[1:] + [len(ids)]))
 
 
-def _read_into(fd: int, views: list[memoryview], offset: int, path) -> None:
-    """Fill ``views`` in turn from file offset ``offset``, at most ``_IOV_MAX`` of them per ``preadv``."""
-    i = 0
-    while i < len(views):
-        got = os.preadv(fd, views[i:i + _IOV_MAX], offset)
-        if got == 0:  # a single read(2) stops short of 2 GiB, so only end of file ends the loop early
+def _pread(fd: int, view: memoryview, offset: int) -> int:
+    return os.preadv(fd, [view], offset)  # fills the caller's buffer, where os.pread would return a new one
+
+
+def _transfer(call, fd: int, rows: np.ndarray, offset: int, path) -> None:
+    """Move the C-contiguous ``rows`` from or to file offset ``offset`` with ``call(fd, view, offset)``, which is
+    ``_pread`` or ``os.pwrite``; a call that moves nothing means the file is no longer the one validated."""
+    view = memoryview(rows).cast("B") if rows.size else b""  # cast refuses a 0-row view
+    while view:  # a single read(2) or write(2) stops short of 2 GiB
+        moved = call(fd, view, offset)
+        if moved == 0:
             raise FormatError(f"embedding matrix {path} changed after it was validated")
-        offset += got
-        while i < len(views) and got >= len(views[i]):
-            got -= len(views[i])
-            i += 1
-        if got:
-            views[i] = views[i][got:]
+        view, offset = view[moved:], offset + moved
 
 
 def _check_embeddings(fields: tuple, values: int) -> tuple[int, int]:
@@ -364,18 +355,17 @@ def read_embeddings(path, rows=None) -> EmbeddingMatrix:
 
     The header and size are checked as :func:`open_embeddings` checks them,
     under the same open file. The whole matrix is one ``preadv`` into its
-    buffer. Selected rows are read in id order, one ``preadv`` per run of
-    consecutive ids, straight into their output rows, so nothing else of
-    the payload is held. Ids may repeat; one outside the matrix is
-    :class:`FormatError`.
+    buffer. Selected rows are read straight into their output rows, one
+    ``preadv`` per run of consecutive ids whose output rows are consecutive
+    too, in id order, so nothing else of the payload is held. Ids may
+    repeat; one outside the matrix is :class:`FormatError`.
     """
     with _open(path) as handle:
         fields, values = _read_header(handle, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC)
         total, dim = _check_embeddings(fields, values)
         if rows is None:
             out = np.empty((total, dim), dtype="<f4")
-            views = [memoryview(out).cast("B")] if out.size else []
-            _read_into(handle.fileno(), views, _EMBEDDINGS_HEADER.size, path)
+            _transfer(_pread, handle.fileno(), out, _EMBEDDINGS_HEADER.size, path)
             return EmbeddingMatrix(out)
         ids = np.asarray(rows)
         if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
@@ -383,18 +373,10 @@ def read_embeddings(path, rows=None) -> EmbeddingMatrix:
         if ids.size and not 0 <= int(ids.min()) <= int(ids.max()) < total:
             raise FormatError(f"row ids must be in 0..{total - 1}, the rows of embedding matrix {path}")
         out = np.empty((ids.size, dim), dtype="<f4")
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order].astype(np.int64)
-        ids_list, order_list, row_bytes = ids.tolist(), order.tolist(), 4 * dim
-        views, offset = [], 0
-        # Each piece is a run whose output rows are consecutive too, so one buffer takes it.
-        for start, stop in _runs(ids, order):
-            if start == 0 or ids_list[start] != ids_list[start - 1] + 1:
-                _read_into(handle.fileno(), views, offset, path)
-                views, offset = [], _EMBEDDINGS_HEADER.size + ids_list[start] * row_bytes
-            dense = order_list[start]
-            views.append(memoryview(out[dense:dense + stop - start]).cast("B"))
-        _read_into(handle.fileno(), views, offset, path)
+        fd, row_bytes = handle.fileno(), 4 * dim
+        # In order of first id, so the reads go through the file at rising offsets.
+        for start, stop in sorted(_runs(ids), key=lambda run: ids.item(run[0])):
+            _transfer(_pread, fd, out[start:stop], _EMBEDDINGS_HEADER.size + ids.item(start) * row_bytes, path)
     return EmbeddingMatrix(out)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import json
+import logging
 import os
 import re
 import resource
@@ -13,6 +14,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from dep import (
     restore_embeddings,
     scan_dataset,
 )
+from dep import cli
 from dep.cli import main
 
 from _strategies import float32_matrices, token_datasets
@@ -229,6 +232,25 @@ class TestBadFlags:
             run(*argv)
         assert exit_info.value.code == 2
         assert f"argument {flag[0]}: expected an integer" in capsys.readouterr().err
+
+    def test_keep_with_non_integer_ids_exits_2(self, workspace, capsys):
+        tmp_path, _, _, dataset_path, matrix_path, _ = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            run("prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--keep", "a,b",
+                "--out", tmp_path / "out")
+        assert exit_info.value.code == 2
+        assert "argument --keep: --keep expects comma-separated integer ids" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, level", [
+    ("info", logging.INFO), ("bogus", logging.WARNING), ("basic_format", logging.WARNING),
+], ids=["info", "unknown-name", "logging-attribute-that-is-not-a-level"])
+def test_dep_log_level(monkeypatch, value, level):
+    monkeypatch.setenv("DEP_LOG", value)
+    with mock.patch("logging.basicConfig") as configure:
+        cli._configure_logging()
+    assert configure.call_args.kwargs["level"] == level
 
 
 class TestPrune:
@@ -676,6 +698,19 @@ class TestOutputSet:
         assert err == f"UNWRITABLE_OUTPUT: cannot write output: {out / 'pruned_dataset.dept'} (disk full)\n"
         assert _listing(out) == before  # also: no .dep-* staging directory is left
 
+    def test_failing_rename_keeps_previous_set(self, previous, capsys, monkeypatch):
+        out, argv = previous
+        before = _listing(out)
+
+        def refuse(source, target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"UNWRITABLE_OUTPUT: cannot write output: {out / 'pruned_dataset.dept'} (rename refused)\n"
+        assert _listing(out) == before
+
     def test_interrupted_writer_keeps_previous_set(self, previous, monkeypatch):
         out, argv = previous
         before = _listing(out)
@@ -986,12 +1021,12 @@ _TOY_CONFIG = {"vocab_size": "8", "d_model": "2", "num_layers": "1", "num_heads"
 
 
 class TestModelConfigTypes:
-    """A config field of the wrong JSON type exits 2, before any count is printed."""
+    """A config field of the wrong JSON type, or an integer out of range, exits 2 before any count is printed."""
 
     @pytest.mark.parametrize("key, literal", [
         ("vocab_size", "1e400"), ("vocab_size", "8.5"), ("vocab_size", "true"), ("d_model", "2.0"),
         ("num_layers", '"1"'), ("num_heads", "false"), ("ffn_dim", "8.0"), ("max_positions", '"4"'),
-        ("type_vocab", "null"), ("has_pooler", '"no"'), ("has_pooler", "0"), ("name", "5"),
+        ("type_vocab", "null"), ("has_pooler", '"no"'), ("has_pooler", "0"), ("name", "5"), ("num_layers", "-1"),
     ])
     def test_wrong_type_exits_2(self, tmp_path, capsys, key, literal):
         path = tmp_path / "cfg.json"

@@ -38,6 +38,15 @@ def random_matrix(rng, rows, dim):
     return EmbeddingMatrix(rng.standard_normal((rows, dim)).astype(np.float32))
 
 
+@pytest.mark.parametrize("data, message", [
+    pytest.param(np.ones(3, dtype=np.float32), "must be 2-D", id="1-D"),
+    pytest.param(np.ones((3, 0), dtype=np.float32), "dim must be >= 1", id="zero-columns"),
+])
+def test_matrix_shape_rejected(data, message):
+    with pytest.raises(ValueError, match=message):
+        EmbeddingMatrix(data)
+
+
 class TestPrune:
     def test_gathers_selected_rows(self):
         matrix = EmbeddingMatrix(np.arange(8, dtype=np.float32).reshape(4, 2))

@@ -368,7 +368,7 @@ class TestEmbeddingFiles:
 
     @pytest.mark.parametrize("rows, calls", [
         pytest.param([0, 1, 2, 4, 5], [[3 * 12], [2 * 12]], id="ascending"),
-        pytest.param([4, 5, 6, 0, 8, 7], [[12], [3 * 12, 12, 12]], id="one-buffer-per-run-of-output-rows"),
+        pytest.param([4, 5, 6, 0, 8, 7], [[12], [3 * 12], [12], [12]], id="one-buffer-per-run-in-id-order"),
         pytest.param([2, 2], [[12], [12]], id="repeated-id-read-twice"),
     ])
     def test_one_preadv_per_run_of_consecutive_ids(self, tmp_path, rows, calls):
@@ -433,16 +433,53 @@ class TestRowReader:
     """``read_embeddings(path, rows=ids)`` is ``read_embeddings(path).data[ids]``, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
-    @given(selection=_row_selections(), iov_max=st.sampled_from([1, 2, 3, formats._IOV_MAX]))
-    def test_matches_whole_matrix_gather(self, tmp_path_factory, selection, iov_max):
+    @given(selection=_row_selections())
+    def test_matches_whole_matrix_gather(self, tmp_path_factory, selection):
         matrix, ids = selection
         path = tmp_path_factory.mktemp("rows") / "emb.depe"
         formats.write_embeddings(matrix, path)
-        with mock.patch.object(formats, "_IOV_MAX", iov_max):
-            selected = formats.read_embeddings(path, rows=np.array(ids, dtype=np.int64))
+        selected = formats.read_embeddings(path, rows=np.array(ids, dtype=np.int64))
         expected = formats.read_embeddings(path).data[ids]
         assert selected.data.shape == expected.shape
         assert selected.data.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(selection=_row_selections(), seed=st.integers(0, 2**32 - 1))
+    def test_calls_that_move_at_most_7_bytes_are_resumed(self, tmp_path_factory, selection, seed):
+        """Whole and selected reads and a patch write give the in-memory result when every call comes back short."""
+        matrix, ids = selection
+        tmp = tmp_path_factory.mktemp("short")
+        path = tmp / "emb.depe"
+        formats.write_embeddings(matrix, path)
+        inverse = list(dict.fromkeys(ids))
+        remap = RemapTable(matrix.rows, inverse)
+        learned = np.random.default_rng(seed).standard_normal((len(inverse), matrix.dim)).astype(np.float32)
+        preadv, pwrite = os.preadv, os.pwrite
+
+        def short_preadv(fd, buffers, offset):
+            [view] = buffers
+            return preadv(fd, [view[:7]], offset)
+
+        with mock.patch("os.preadv", side_effect=short_preadv) as reads, \
+                mock.patch("os.pwrite", side_effect=lambda fd, view, offset: pwrite(fd, view[:7], offset)):
+            whole = formats.read_embeddings(path)
+            selected = formats.read_embeddings(path, rows=np.array(ids, dtype=np.int64))
+            patch = restore_embeddings(formats.open_embeddings(path), EmbeddingMatrix(learned), remap)
+            formats.write_embeddings(patch, tmp / "patched.depe")
+        assert reads.call_count >= -(-matrix.data.nbytes // 7)
+        assert whole == matrix
+        assert selected.data.shape == (len(ids), matrix.dim)
+        assert selected.data.tobytes() == matrix.data[ids].tobytes()
+        formats.write_embeddings(restore_embeddings(matrix, EmbeddingMatrix(learned), remap), tmp / "oracle.depe")
+        assert (tmp / "patched.depe").read_bytes() == (tmp / "oracle.depe").read_bytes()
+
+    @pytest.mark.parametrize("ids, runs", [
+        pytest.param(np.array([2**32 - 1, 0, 1], dtype=np.uint32), [(0, 1), (1, 3)], id="uint32-wrap"),
+        pytest.param(np.array([255, 0], dtype=np.uint8), [(0, 1), (1, 2)], id="uint8-wrap"),
+        pytest.param(np.array([], dtype=np.int64), [], id="empty"),
+    ])
+    def test_runs_do_not_wrap_at_the_id_width(self, ids, runs):
+        assert formats._runs(ids) == runs
 
     @pytest.mark.parametrize("ids", [[-1], [0, 4], [2**32], np.array([2**64 - 1], dtype=np.uint64)])
     def test_id_outside_the_matrix_is_bad_format(self, tmp_path, ids):

@@ -107,6 +107,25 @@ class TestFrequencyTableCounts:
         assert FrequencyTable(np.array([0, 3], dtype=np.uint8)).counts.dtype == np.int64
 
 
+class TestMalformedArguments:
+    @pytest.mark.parametrize("make, error, message", [
+        pytest.param(lambda: TokenizedDataset(([1], [[1, 2]]), 5), ValueError, "sequence 1 is not one-dimensional",
+                     id="dataset-2-D-sequence"),
+        pytest.param(lambda: TokenizedDataset(([1.0, 2.0],), 5), TypeError, "sequence 0 has non-integer dtype",
+                     id="dataset-float-sequence"),
+        pytest.param(lambda: FrequencyTable(np.ones((2, 2), dtype=np.int64)), ValueError, "one-dimensional",
+                     id="counts-2-D"),
+        pytest.param(lambda: FrequencyTable([1.0, 2.0]), TypeError, "integers", id="counts-float"),
+        pytest.param(lambda: RemapTable(4, [[0, 1]]), ValueError, "inverse must be one-dimensional",
+                     id="remap-2-D-inverse"),
+        pytest.param(lambda: scan_dataset_parallel(TokenizedDataset(([1],), 2), 0), ValueError,
+                     "partitions must be >= 1", id="zero-partitions"),
+    ])
+    def test_rejected(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+
 class TestBuildRemap:
     def test_ascending_skips_unused(self):
         remap = build_remap(FrequencyTable([0, 3, 0, 1]))
