@@ -55,7 +55,10 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
     Every name is checked before anything is written. Each file is written
     under its own name into one staging directory inside ``--out`` and
     renamed into place only once all of them are written, so a failed run
-    leaves the previous set untouched.
+    leaves the previous set untouched. Before each rename the previous file,
+    if any, is hard-linked into the stage; if a later rename fails, the
+    earlier ones are undone from those links. A file whose link the
+    filesystem refuses stays the new run's.
 
     A payload may be a producer, called with no arguments just before its
     write. The files are written in ``outputs`` order, and each entry is
@@ -84,14 +87,37 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
             except OSError as err:
                 raise UnwritableOutput(path, str(err)) from None
             del writer, payload
+        renamed = []  # (path, its previous file linked into the stage, or None if it had none)
         for path in paths:
+            previous, undoable = stage / f"{path.name}.previous", True
+            try:
+                os.link(path, previous, follow_symlinks=False)
+            except FileNotFoundError:
+                previous = None
+            except OSError:  # the filesystem refuses the link: this rename cannot be undone
+                undoable = False
             try:
                 os.replace(stage / path.name, path)
             except OSError as err:
+                _put_back(renamed)
                 raise UnwritableOutput(path, str(err)) from None
+            if undoable:
+                renamed.append((path, previous))
             log.info("wrote %s", path)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+
+
+def _put_back(renamed: list) -> None:
+    """Undo renames that went through: each previous file goes back, and a new file that had none is removed."""
+    for path, previous in reversed(renamed):
+        try:
+            if previous is None:
+                os.unlink(path)
+            else:
+                os.replace(previous, path)
+        except OSError as err:
+            log.warning("could not put back %s: %s", path, err)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -27,7 +27,13 @@ Embedding matrix, magic ``DEPE``::
 A dataset path ending in ``.txt`` uses the text form instead: one sequence
 per line, space-separated decimal ids (an empty line is an empty sequence).
 Only ``\n`` ends a line; other ASCII whitespace separates ids like a space.
-Text is meant for fixtures and debugging, binary for large corpora.
+Text is meant for fixtures and debugging, binary for large corpora. The
+reader holds the file's bytes and maps each byte to a class: digit,
+whitespace or other. Text of digits and whitespace with no id longer than
+10 digits is parsed in chunks of whole lines, one ``np.fromstring`` per
+chunk, straight into the uint32 ids; any other text goes through a
+per-line parser that gives the same results and errors. The writer fills
+one byte array per chunk of whole lines from the ids' place values.
 
 Remaps are JSON objects ``{original_vocab_size, ordering, keep_tokens,
 pairs}`` with ``pairs`` as ``[original_id, dense_id]`` sorted by dense id;
@@ -59,6 +65,7 @@ from .errors import (
     FormatError,
     InconsistentInputs,
     MissingInput,
+    OutOfRangeToken,
     RemapInconsistent,
     UnsupportedVersion,
 )
@@ -72,7 +79,7 @@ DTYPE_FLOAT32 = 1
 
 _DATASET_HEADER = struct.Struct("<4sIQQ")
 _EMBEDDINGS_HEADER = struct.Struct("<4sIBQQ")
-_CHUNK_WORDS = 1 << 20  # body words per chunk; bounds the dataset reader's and writer's temporaries
+_CHUNK_WORDS = 1 << 20  # body words, or text bytes, per chunk; bounds the dataset readers' and writers' temporaries
 _COPY_CALL_BYTES = 1 << 30  # per sendfile(2), under its 2 GiB limit
 
 
@@ -111,17 +118,21 @@ def _write_container(path, header: struct.Struct, magic: bytes, fields, chunks) 
         handle.writelines(map(memoryview, chunks))  # drops each chunk before making the next
 
 
-def _read_utf8(path, what: str) -> str:
+def _read_bytes(path) -> bytes:
     with _open(path) as handle:
-        try:
-            return handle.read().decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise FormatError(f"{what} is not UTF-8: {err}") from None
+        return handle.read()
+
+
+def _decode_utf8(data: bytes, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{what} is not UTF-8: {err}") from None
 
 
 def _read_json_object(path, what: str) -> dict:
     try:
-        obj = json.loads(_read_utf8(path, what))
+        obj = json.loads(_decode_utf8(_read_bytes(path), what))
     except (ValueError, RecursionError) as err:  # RecursionError: nesting deeper than the parser's stack
         raise FormatError(f"{what} is not valid JSON: {err}") from None
     if not isinstance(obj, dict):
@@ -166,11 +177,12 @@ def _v1_body_chunks(dataset: TokenizedDataset):
 
 
 def _chunk_spans(starts: np.ndarray):
-    """``(i, j)`` of each chunk of whole sequences ``i..j-1`` of a ``DEPT`` body.
+    """``(i, j)`` of each chunk of whole sequences ``i..j-1``.
 
-    ``starts`` holds the body word index of each sequence's length word,
-    then the body size. A chunk spans at most ``_CHUNK_WORDS`` body words
-    unless one sequence alone is longer.
+    ``starts`` holds where each sequence starts, then the end: for a
+    ``DEPT`` body, the word index of each length word and the body size. A
+    chunk spans at most ``_CHUNK_WORDS`` of those units unless one sequence
+    alone is longer.
     """
     i, n = 0, starts.size - 1
     while i < n:
@@ -211,8 +223,113 @@ def read_dataset_binary(path) -> TokenizedDataset:
 
 
 def write_dataset_text(dataset: TokenizedDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(" ".join(map(str, ids.tolist())) + "\n" for ids in dataset.sequences)
+    with open(path, "wb") as handle:
+        handle.writelines(_text_chunks(dataset))
+
+
+def _text_chunks(dataset: TokenizedDataset):
+    """The text form as uint8 arrays, one per chunk of whole lines, each filled from its ids' place values.
+
+    A chunk holds at most ``_CHUNK_WORDS`` bytes of text, counting each id
+    at its widest, unless one line alone is longer.
+    """
+    tokens, offsets = dataset.tokens, dataset.offsets
+    for i, j in _chunk_spans(offsets * (_ID_DIGITS + 1) + np.arange(offsets.size)):
+        ids, bounds = tokens[offsets[i]:offsets[j]], offsets[i:j + 1] - offsets[i]
+        empty = bounds[1:] == bounds[:-1]
+        # Bytes per id: its digits and the space or newline after it, plus a lone newline for
+        # each empty line just before it; the last entry holds the chunk's trailing empty lines.
+        width = np.bincount(bounds[:-1][empty], minlength=ids.size + 1)
+        width[:-1] += 2
+        power, top = 10, int(ids.max(initial=0))
+        while power <= top:
+            width[:-1] += ids >= power
+            power *= 10
+        ends = np.cumsum(width, out=width)
+        grid = np.full(ends[-1], ord("\n"), dtype=np.uint8)
+        place = ends[:-1]
+        place -= 1  # now the byte after each id
+        grid[place] = ord(" ")
+        grid[place[bounds[1:][~empty] - 1]] = ord("\n")
+        place -= 1
+        while ids.size:  # one pass per place value, units first, over the ids that have that digit
+            grid[place] = ids % 10 + ord("0")
+            more = ids >= 10
+            place, ids = place[more] - 1, ids[more] // 10
+        yield grid
+
+
+# The bytes of a text dataset: ASCII digits, the ASCII whitespace that str.split() splits on
+# ("\n" included, as it splits a line into ids the same way), and every other byte.
+_DIGITS = b"0123456789"
+_SPLIT_ON = bytes(b for b in range(128) if chr(b).isspace())
+_BYTE_CLASS = bytes(ord("d") if b in _DIGITS else ord(" ") if b in _SPLIT_ON else ord("?") for b in range(256))
+_TO_SPACE = bytes(ord(" ") if b in _SPLIT_ON else b for b in range(256))
+_ID_DIGITS = 10  # of 2**32 - 1; a longer run can exceed int64, so it goes to the per-line parser
+
+
+def _line_spans(data: bytes) -> list[tuple[int, int]]:
+    """``(a, b)`` of each chunk ``data[a:b]`` of whole lines: at most ``_CHUNK_WORDS`` bytes, unless one line
+    alone is longer."""
+    spans, a = [], 0
+    while a < len(data):
+        b = data.rfind(b"\n", a, a + _CHUNK_WORDS) + 1 or data.find(b"\n", a + _CHUNK_WORDS) + 1 or len(data)
+        spans.append((a, b))
+        a = b
+    return spans
+
+
+def _count_ids(chunk: bytes) -> int | None:
+    """The number of ids in whole lines of text, or None if a byte or a run of digits needs the per-line parser."""
+    classes = chunk.translate(_BYTE_CLASS)
+    if b"?" in classes or b"d" * (_ID_DIGITS + 1) in classes:
+        return None
+    return classes.count(b" d") + classes.startswith(b"d")  # ids are runs of digits; a chunk starts a line
+
+
+def _parse_ids(data: bytes, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 ids of the whole lines ``data[a:b]``, of digits and whitespace only, and per line the number
+    of those ids up to its end."""
+    spaced = data[a:b].translate(_TO_SPACE)
+    gap = np.frombuffer(spaced, dtype=np.uint8) == ord(" ")
+    before = np.flatnonzero(gap[:-1] > gap[1:])  # the byte before each id, but one at the chunk's start
+    lead = int(not gap[0])
+    del gap  # each per-byte temporary goes before the next is made
+    # With a count, fromstring does not read whitespace alone as one 0.
+    ids = np.fromstring(spaced, dtype=np.int64, sep=" ", count=lead + before.size)
+    del spaced
+    newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8, count=b - a, offset=a) == ord("\n"))
+    ends = np.searchsorted(before, newlines) + lead
+    if data[b - 1] != ord("\n"):  # the file's last line, without a newline
+        ends = np.append(ends, ids.size)
+    return ids, ends
+
+
+def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
+    data = _read_bytes(path)
+    spans = _line_spans(data)
+    counts = [_count_ids(data[a:b]) for a, b in spans]
+    if None in counts:
+        return _read_text_lines(data, vocab_size)
+    if vocab_size is not None:
+        _check_vocab_size(vocab_size)
+    limit = MAX_VOCAB_SIZE if vocab_size is None else vocab_size
+    tokens = np.empty(sum(counts), dtype=TOKEN_DTYPE)
+    # One line per newline, and one more for text after the last newline.
+    offsets = np.zeros(data.count(b"\n") + (data[-1:] not in (b"", b"\n")) + 1, dtype=np.int64)
+    line, top = 0, -1
+    for a, b in spans:
+        ids, ends = _parse_ids(data, a, b)
+        end = line + ends.size
+        offsets[line + 1:end + 1] = offsets[line] + ends
+        try:  # before the uint32 cast, so an id of 2**32 or more is reported as read
+            _check_ids(ids, offsets[line:end + 1] - offsets[line], limit)
+        except OutOfRangeToken as err:
+            raise OutOfRangeToken(line + err.sequence_index, err.position, err.token_id, limit) from None
+        tokens[offsets[line]:offsets[end]] = ids
+        line, top = end, max(top, int(ids.max(initial=-1)))
+        del ids  # not held while the next chunk's are made
+    return TokenizedDataset.from_flat(tokens, offsets, top + 1 if vocab_size is None else vocab_size)
 
 
 def _plain_ascii(text: str) -> bool:
@@ -220,8 +337,15 @@ def _plain_ascii(text: str) -> bool:
     return text.isascii() and "_" not in text and "+" not in text
 
 
-def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
-    text = _read_utf8(path, "text dataset")
+def _read_text_lines(data: bytes, vocab_size: int | None) -> TokenizedDataset:
+    """Parse a text dataset line by line: the path for text with a byte other than an ASCII digit or
+    whitespace, or a run of more than 10 digits.
+
+    ``-0`` reads as 0 and ``00000000007`` as 7, ``-3`` is out of range, and
+    a ``+``, a ``_``, a non-ASCII character or an id of 2**63 or more is
+    :class:`FormatError` with its line.
+    """
+    text = _decode_utf8(data, "text dataset")
     lines = text.split("\n")
     if lines[-1] == "":  # the tail after a final newline, or an empty file
         lines.pop()

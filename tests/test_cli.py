@@ -662,6 +662,19 @@ def _listing(out: Path) -> dict[str, bytes | None]:
     return {path.name: None if path.is_dir() else path.read_bytes() for path in out.iterdir()}
 
 
+def _fail_second_replace(monkeypatch) -> None:
+    """Make the second ``os.replace`` call raise ``OSError``; every other call renames."""
+    replace, calls = os.replace, []
+
+    def second_fails(source, target):
+        calls.append(target)
+        if len(calls) == 2:
+            raise OSError("rename refused")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+
+
 class TestOutputSet:
     """A subcommand replaces its whole output set or none of it."""
 
@@ -710,6 +723,32 @@ class TestOutputSet:
         err = capsys.readouterr().err
         assert err == f"UNWRITABLE_OUTPUT: cannot write output: {out / 'pruned_dataset.dept'} (rename refused)\n"
         assert _listing(out) == before
+
+    @pytest.mark.parametrize("had_previous", [True, False], ids=["previous-set", "no-previous-set"])
+    def test_failing_later_rename_puts_back_earlier_ones(self, previous, capsys, monkeypatch, had_previous):
+        """The second rename fails: the first is undone, to the previous file or to no file at all."""
+        out, argv = previous
+        if not had_previous:
+            for entry in out.iterdir():
+                entry.unlink()
+        before = _listing(out)
+        _fail_second_replace(monkeypatch)
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"UNWRITABLE_OUTPUT: cannot write output: {out / 'remap.json'} (rename refused)\n"
+        assert _listing(out) == before
+
+    def test_refused_link_leaves_that_file_new(self, previous, monkeypatch):
+        """Where the filesystem refuses the link, a file renamed before a failure stays the new run's."""
+        out, argv = previous
+        before = _listing(out)
+        monkeypatch.setattr(os, "link", mock.Mock(side_effect=OSError(errno.EPERM, "links refused")))
+        _fail_second_replace(monkeypatch)
+        assert run(*argv) == 4
+        after = _listing(out)
+        assert after["pruned_dataset.dept"] != before["pruned_dataset.dept"]
+        assert {name: after[name] for name in ("remap.json", "pruned_embeddings.depe")} == \
+            {name: before[name] for name in ("remap.json", "pruned_embeddings.depe")}
 
     def test_interrupted_writer_keeps_previous_set(self, previous, monkeypatch):
         out, argv = previous

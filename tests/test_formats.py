@@ -41,6 +41,74 @@ def reference_dataset_bytes(dataset):
     return b"".join(out)
 
 
+def reference_read_text(data: bytes, vocab_size=None):
+    """The text form read one line and one id at a time with ``int()``.
+
+    Checks run in the reader's order: UTF-8, then the first line with a
+    character that is not plain ASCII (or a ``+`` or ``_``), then the first
+    line with a field ``int()`` refuses or one outside int64, then
+    ``vocab_size`` (default max id + 1, capped at 2**32), then the first id
+    outside ``[0, vocab_size)``.
+    """
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"text dataset is not UTF-8: {err}") from None
+    if lines[-1] == "":
+        lines.pop()
+    not_decimal = "line {}: token ids must be decimal integers"
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii() or "+" in line or "_" in line:
+            raise FormatError(not_decimal.format(line_no))
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            rows.append([int(field) for field in line.split()])
+        except ValueError:
+            raise FormatError(not_decimal.format(line_no)) from None
+        if any(not -2**63 <= value < 2**63 for value in rows[-1]):
+            raise FormatError(not_decimal.format(line_no))
+    if vocab_size is None:
+        vocab_size = min(max([0] + [value + 1 for row in rows for value in row]), 2**32)
+    if not 0 <= vocab_size <= 2**32:
+        raise FormatError(f"vocab_size {vocab_size} is outside the u32 id range 0..{2**32}")
+    for seq, row in enumerate(rows):
+        for pos, value in enumerate(row):
+            if not 0 <= value < vocab_size:
+                raise OutOfRangeToken(seq, pos, value, vocab_size)
+    return TokenizedDataset(rows, vocab_size)
+
+
+def _outcome(read, source, vocab_size):
+    """A dataset as its lists and vocabulary, or an error as its type, message and located id."""
+    try:
+        dataset = read(source, vocab_size)
+    except (FormatError, OutOfRangeToken) as err:
+        return type(err), str(err), [getattr(err, name, None) for name in ("sequence_index", "position", "token_id")]
+    return dataset.to_lists(), dataset.vocab_size
+
+
+_CHUNK_SIZES = st.sampled_from([1, 2, 3, 7, formats._CHUNK_WORDS])
+_DIGIT_RUNS = st.sampled_from([1, 2, 10, 11, 19, 20]).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n))
+_TEXT_PIECES = st.one_of(
+    st.sampled_from([*"0123456789", *(chr(b) for b in range(128) if chr(b).isspace()), "-", "+", "_", "x", "３"]),
+    _DIGIT_RUNS,
+    st.sampled_from(["0000000000", "00000000007", "4294967295", "4294967296", "9999999999", "9223372036854775807",
+                     "9223372036854775808", "-0", "-3"]),
+).map(lambda piece: piece.encode("utf-8")) | st.just(b"\xff")
+
+
+@st.composite
+def _wide_id_datasets(draw):
+    rows = draw(st.lists(st.lists(st.integers(0, 2**32 - 1) | st.sampled_from([9, 10, 2**32 - 1]), max_size=6),
+                         max_size=6))
+    return TokenizedDataset(rows, 2**32)
+
+
+def _empty_line_datasets():
+    return st.integers(0, 5).map(lambda n: TokenizedDataset([[]] * n, 3))
+
+
 class TestDatasetFiles:
     @given(token_datasets(max_sequences=12), st.sampled_from([1, 2, 3, 7, formats._CHUNK_WORDS]))
     def test_binary_roundtrip(self, dataset, chunk_words):
@@ -65,20 +133,39 @@ class TestDatasetFiles:
         assert path.read_text() == "1 2\n\n4\n"
         assert formats.read_dataset_text(path, 6) == dataset
 
-    @given(token_datasets())
-    def test_text_writer_bytes_and_roundtrip(self, dataset):
+    @given(token_datasets() | _wide_id_datasets() | _empty_line_datasets(), _CHUNK_SIZES)
+    def test_text_writer_bytes_and_roundtrip(self, dataset, chunk_words):
+        """Ids up to 2**32 - 1, empty and all-empty datasets, at any chunk size."""
         import tempfile, os
 
         fd, path = tempfile.mkstemp(suffix=".txt")
         os.close(fd)
         try:
-            formats.write_dataset_text(dataset, path)
-            with open(path, "rb") as handle:
-                expected = "".join(" ".join(map(str, ids)) + "\n" for ids in dataset.to_lists())
-                assert handle.read() == expected.encode("utf-8")
-            assert formats.read_dataset_text(path, dataset.vocab_size) == dataset
+            with mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
+                formats.write_dataset_text(dataset, path)
+                with open(path, "rb") as handle:
+                    expected = "".join(" ".join(map(str, ids)) + "\n" for ids in dataset.to_lists())
+                    assert handle.read() == expected.encode("utf-8")
+                assert formats.read_dataset_text(path, dataset.vocab_size) == dataset
         finally:
             os.unlink(path)
+
+    @settings(max_examples=400)
+    @given(st.lists(_TEXT_PIECES, max_size=24).map(b"".join),
+           st.none() | st.integers(-1, 40) | st.sampled_from([2**32 - 1, 2**32, 2**32 + 1]), _CHUNK_SIZES)
+    def test_text_reader_matches_per_line_reference(self, data, vocab_size, chunk_words):
+        """The same dataset as the per-line reference, or the same error with the same fields."""
+        import tempfile, os
+
+        fd, path = tempfile.mkstemp(suffix=".txt")
+        os.write(fd, data)
+        os.close(fd)
+        try:
+            with mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
+                got = _outcome(formats.read_dataset_text, path, vocab_size)
+        finally:
+            os.unlink(path)
+        assert got == _outcome(reference_read_text, data, vocab_size)
 
     def test_text_vocab_inferred_as_max_plus_one(self, tmp_path):
         path = tmp_path / "data.txt"

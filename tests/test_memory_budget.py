@@ -1,12 +1,13 @@
 """Peak allocation of each subcommand against a budget written in README's terms.
 
 Each budget is built from the sizes README's memory paragraphs name: ``4N``
-bytes for ``N`` token ids, ``S`` sequences, ``V`` vocabulary ids and
-``R x d`` kept rows of 32-bit reals, plus a fixed allowance for bounded
-chunk temporaries. The chunks are scaled down to 16 Ki words, as in
-``test_reader_holds_the_ids_once``, so that a per-token term is not hidden
-under a 1 Mi-word chunk. ``tracemalloc`` sees numpy's buffers but not the
-interpreter and its imports, which are already loaded when a run starts.
+bytes for ``N`` token ids, ``S`` sequences, ``V`` vocabulary ids, ``T``
+bytes of a text dataset and ``R x d`` kept rows of 32-bit reals, plus a
+fixed allowance for bounded chunk temporaries. The chunks are scaled down
+to 16 Ki words (or text bytes), as in ``test_reader_holds_the_ids_once``,
+so that a per-token term is not hidden under a 1 Mi-word chunk.
+``tracemalloc`` sees numpy's buffers but not the interpreter and its
+imports, which are already loaded when a run starts.
 """
 
 import contextlib
@@ -27,21 +28,24 @@ _CHUNK = 1 << 14
 #   analyze: the ids once, offsets and the length-word walk, counts, seen mask, unused ids   (10.5 MiB)
 #   prune:   the ids once or the kept rows, never both, with offsets, counts and the
 #            dense-id table; holding the ids and a remapped copy peaked at 16.2 MiB         (9.0 MiB)
-#   prune of a .txt dataset: the text reader's int64 ids per line and joined, 16N; the lines
-#            are freed before the uint32 copy. Plus one small array per line; holding the
-#            lines through that copy, 20N in all, peaked at 41.9 MiB                           (34.7 MiB)
+#   prune of a .txt dataset: the text reader holds the file's T bytes and the ids once, with
+#            offsets and one chunk's temporaries; a per-line parse into int64 arrays, joined
+#            and then cast, peaked at 34.7 MiB                                                  (18.8 MiB)
+#   analyze of a .txt dataset: the same reader, which sets its peak too                        (18.8 MiB)
 #   restore: the learned rows, plus the remap's JSON pairs as Python objects                  (5.3 MiB)
 _BUDGETS = {
     "analyze": lambda c: 4 * c.N + 32 * c.S + 32 * c.V + 1.5 * _MIB,
     "prune": lambda c: max(4 * c.N, 4 * c.R * c.d) + 24 * c.S + 24 * c.V + 0.5 * _MIB,
-    "prune-text": lambda c: 16 * c.N + 128 * c.S + 32 * c.V + 1.5 * _MIB,
+    "prune-text": lambda c: c.T + 4 * c.N + 16 * c.S + 0.75 * _MIB,
+    "analyze-text": lambda c: c.T + 4 * c.N + 16 * c.S + 0.75 * _MIB,
     "restore": lambda c: 4 * c.R * c.d + 128 * c.R + 1.25 * _MIB,
 }
 
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    """2.0 M tokens in 30 000 sequences over V = 30 522 with 40% of ids used, a d = 64 matrix, and one pruned run."""
+    """2.0 M tokens in 30 000 sequences over V = 30 522 with 40% of ids used (T = 11.3 MB as text),
+    a d = 64 matrix, and one pruned run."""
     work = tmp_path_factory.mktemp("budget")
     rng = np.random.default_rng(7)
     sizes = SimpleNamespace(N=2_000_000, S=30_000, V=30_522, d=64)
@@ -55,12 +59,14 @@ def corpus(tmp_path_factory):
     dataset = TokenizedDataset.from_flat(tokens, offsets, sizes.V)
     formats.write_dataset(dataset, work / "dataset.dept")
     formats.write_dataset(dataset, work / "dataset.txt")
+    sizes.T = (work / "dataset.txt").stat().st_size
     matrix = EmbeddingMatrix(rng.standard_normal((sizes.V, sizes.d)).astype(np.float32))
     formats.write_embeddings(matrix, work / "embeddings.depe")
     argv = {
         "analyze": ["analyze", "--dataset", work / "dataset.dept"],
         "prune": ["prune", "--dataset", work / "dataset.dept", "--embeddings", work / "embeddings.depe"],
         "prune-text": ["prune", "--dataset", work / "dataset.txt", "--embeddings", work / "embeddings.depe"],
+        "analyze-text": ["analyze", "--dataset", work / "dataset.txt"],
         "restore": ["restore", "--embeddings", work / "embeddings.depe",
                     "--learned", work / "pruned" / "pruned_embeddings.depe", "--remap", work / "pruned" / "remap.json"],
     }
