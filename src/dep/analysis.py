@@ -14,41 +14,51 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import DegenerateFit, InsufficientPoints
-from .vocab import FrequencyTable, TokenizedDataset, _vocab_arrays
+from .vocab import FrequencyTable, TokenizedDataset, _read_only, _vocab_arrays
 
 CheckpointPolicy = Union[str, Iterable[int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class GrowthCurve:
-    """Distinct-id counts sampled along a token stream.
+    """Distinct-id counts sampled along a token stream, as read-only int64 arrays ``tokens`` and ``unique``.
 
-    Each point is ``(tokens_seen, unique_tokens)``. Token positions are
-    strictly increasing, distinct counts never decrease, and every count
-    is bounded by both the position and the vocabulary size.
+    Built from ``(tokens_seen, unique_tokens)`` pairs or an ``n x 2`` array, an int64 one not copied.
+    Token positions strictly increase, distinct counts never decrease, and every count is bounded by
+    both the position and the vocabulary size.
     """
 
-    points: tuple[tuple[int, int], ...]
+    tokens: np.ndarray
+    unique: np.ndarray
     vocab_size: int
 
-    def __post_init__(self) -> None:
-        points = tuple((int(n), int(u)) for n, u in self.points)
-        object.__setattr__(self, "points", points)
-        prev_n, prev_u = 0, 0
-        for n, u in points:
-            if n <= prev_n:
-                raise ValueError(f"tokens_seen must be strictly increasing, got {n} after {prev_n}")
-            if u < prev_u:
-                raise ValueError(f"unique_tokens must be non-decreasing, got {u} after {prev_u}")
-            if u > min(n, self.vocab_size):
-                raise ValueError(
-                    f"unique_tokens {u} exceeds min(tokens_seen={n}, vocab_size={self.vocab_size})"
-                )
-            prev_n, prev_u = n, u
+    def __init__(self, points, vocab_size: int):
+        pairs = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+        step = np.diff(pairs, axis=0, prepend=0)
+        bad = np.column_stack((step[:, 0] <= 0, step[:, 1] < 0, pairs[:, 1] > np.minimum(pairs[:, 0], vocab_size)))
+        if bad.any():
+            i, rule = divmod(int(bad.argmax()), 3)  # the first bad point, by the first rule it breaks
+            (n, u), (dn, du) = pairs[i].tolist(), step[i].tolist()
+            raise ValueError((f"tokens_seen must be strictly increasing, got {n} after {n - dn}",
+                              f"unique_tokens must be non-decreasing, got {u} after {u - du}",
+                              f"unique_tokens {u} exceeds min(tokens_seen={n}, vocab_size={vocab_size})")[rule])
+        object.__setattr__(self, "tokens", _read_only(pairs[:, 0]))
+        object.__setattr__(self, "unique", _read_only(pairs[:, 1]))
+        object.__setattr__(self, "vocab_size", int(vocab_size))
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.tokens.tolist(), self.unique.tolist()))
 
     @property
     def final_unique(self) -> int:
-        return self.points[-1][1] if self.points else 0
+        return int(self.unique[-1]) if self.unique.size else 0
+
+    def __eq__(self, other: object):
+        if not isinstance(other, GrowthCurve):
+            return NotImplemented
+        return (self.vocab_size == other.vocab_size and np.array_equal(self.tokens, other.tokens)
+                and np.array_equal(self.unique, other.unique))
 
 
 @dataclass(frozen=True)
@@ -60,25 +70,15 @@ class HeapsFit:
     rmse_log: float
 
 
-def _resolve_checkpoints(policy: CheckpointPolicy, total: int) -> list[int]:
-    if total == 0:
-        return []
+def _resolve_checkpoints(policy: CheckpointPolicy, total: int) -> np.ndarray:
     if isinstance(policy, str):
-        if policy == "pow2":
-            out = []
-            n = 1
-            while n < total:
-                out.append(n)
-                n *= 2
-            out.append(total)
-            return out
         if policy == "all":
-            return list(range(1, total + 1))
-        raise ValueError(f"unknown checkpoint policy {policy!r}")
-    out = sorted({int(n) for n in policy if 1 <= int(n) <= total})
-    if not out or out[-1] != total:
-        out.append(total)
-    return out
+            return np.arange(1, total + 1, dtype=np.int64)
+        if policy != "pow2":
+            raise ValueError(f"unknown checkpoint policy {policy!r}")
+        policy = 1 << np.arange(total.bit_length(), dtype=np.int64)
+    positions = np.sort(np.append(np.asarray(list(policy), dtype=np.int64).clip(0, total), total))
+    return positions[np.diff(positions, prepend=0) > 0]  # 1..total, each once; np.unique would import numpy.ma (~1 MiB)
 
 
 def growth_curve(dataset: TokenizedDataset, checkpoints: CheckpointPolicy = "pow2") -> GrowthCurve:
@@ -91,13 +91,12 @@ def growth_curve(dataset: TokenizedDataset, checkpoints: CheckpointPolicy = "pow
     ``"all"`` (every position), or an explicit iterable of positions
     (values beyond the stream are dropped).
     """
-    positions = _resolve_checkpoints(checkpoints, dataset.total_tokens)
-    if not positions:
+    if not dataset.total_tokens:
         return GrowthCurve((), dataset.vocab_size)
+    positions = _resolve_checkpoints(checkpoints, dataset.total_tokens)
     first = _first_positions(dataset.tokens, dataset.vocab_size)
     # Ids seen within the first n tokens are those whose first position is below n.
-    counts = np.searchsorted(first, positions).tolist()
-    return GrowthCurve(tuple(zip(positions, counts)), dataset.vocab_size)
+    return GrowthCurve(np.column_stack((positions, np.searchsorted(first, positions))), dataset.vocab_size)
 
 
 _SCAN_CHUNK = 1 << 16
@@ -134,12 +133,12 @@ def fit_heaps(curve: GrowthCurve | Iterable[tuple[int, int]]) -> HeapsFit:
     fewer than two usable points raise :class:`InsufficientPoints`, and
     zero variance in token counts raises :class:`DegenerateFit`.
     """
-    points = curve.points if isinstance(curve, GrowthCurve) else tuple(curve)
-    usable = [(n, u) for n, u in points if n >= 1 and u >= 1]
-    if len(usable) < 2:
-        raise InsufficientPoints(len(usable))
-    log_n = np.log([float(n) for n, _ in usable])
-    log_v = np.log([float(u) for _, u in usable])
+    is_curve = isinstance(curve, GrowthCurve)
+    n, u = (curve.tokens, curve.unique) if is_curve else np.asarray(tuple(curve), dtype=np.float64).reshape(-1, 2).T
+    usable = (n >= 1) & (u >= 1)
+    log_n, log_v = np.log(n[usable]), np.log(u[usable])
+    if log_n.size < 2:
+        raise InsufficientPoints(log_n.size)
     if bool(np.all(log_n == log_n[0])):
         raise DegenerateFit("all points share the same token count")
     beta, log_k = np.polyfit(log_n, log_v, 1)

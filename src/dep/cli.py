@@ -69,7 +69,7 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
     paths = [args.out / name for name in outputs]
     try:
         for path in paths:
-            if path.exists() and not args.force:
+            if os.path.lexists(path) and not args.force:
                 raise OutputExists(path)
             if path.is_dir():
                 raise UnwritableOutput(path, "is a directory")
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--partitions", type=_int_at_least(1), default=None,
                            help="any N >= 1; counting runs on one thread, so outputs never depend on N")
     p_analyze.add_argument("--checkpoints", choices=("pow2", "all"), default="pow2",
-                           help="growth points at powers of two, or at every token (about 300 bytes each)")
+                           help="growth points at powers of two, or at every token (about 100 bytes each)")
     add_out(p_analyze)
 
     p_prune = sub.add_parser("prune", help="write reduced embeddings, remap, and remapped dataset")

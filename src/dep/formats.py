@@ -224,20 +224,19 @@ def read_dataset_binary(path) -> TokenizedDataset:
 
 def write_dataset_text(dataset: TokenizedDataset, path) -> None:
     with open(path, "wb") as handle:
-        handle.writelines(_text_chunks(dataset))
+        handle.writelines(_text_chunks(dataset.tokens, dataset.offsets, ord(" ")))
 
 
-def _text_chunks(dataset: TokenizedDataset):
-    """The text form as uint8 arrays, one per chunk of whole lines, each filled from its ids' place values.
+def _text_chunks(tokens: np.ndarray, offsets: np.ndarray, sep: int):
+    """Lines ``tokens[offsets[i]:offsets[i + 1]]`` of decimal ids joined by the byte ``sep``, as uint8 arrays.
 
-    A chunk holds at most ``_CHUNK_WORDS`` bytes of text, counting each id
-    at its widest, unless one line alone is longer.
+    Each array is one chunk of whole lines, filled from its ids' place values: at most ``_CHUNK_WORDS``
+    bytes, counting each id at ``_ID_DIGITS`` digits, unless one line alone is longer.
     """
-    tokens, offsets = dataset.tokens, dataset.offsets
     for i, j in _chunk_spans(offsets * (_ID_DIGITS + 1) + np.arange(offsets.size)):
         ids, bounds = tokens[offsets[i]:offsets[j]], offsets[i:j + 1] - offsets[i]
         empty = bounds[1:] == bounds[:-1]
-        # Bytes per id: its digits and the space or newline after it, plus a lone newline for
+        # Bytes per id: its digits and the separator or newline after it, plus a lone newline for
         # each empty line just before it; the last entry holds the chunk's trailing empty lines.
         width = np.bincount(bounds[:-1][empty], minlength=ids.size + 1)
         width[:-1] += 2
@@ -249,7 +248,7 @@ def _text_chunks(dataset: TokenizedDataset):
         grid = np.full(ends[-1], ord("\n"), dtype=np.uint8)
         place = ends[:-1]
         place -= 1  # now the byte after each id
-        grid[place] = ord(" ")
+        grid[place] = sep
         grid[place[bounds[1:][~empty] - 1]] = ord("\n")
         place -= 1
         while ids.size:  # one pass per place value, units first, over the ids that have that digit
@@ -575,8 +574,10 @@ def write_report(report: PruneReport, path) -> None:
 
 
 def write_growth_csv(curve: GrowthCurve, path) -> None:
-    lines = ["tokens,unique"] + [f"{n},{u}" for n, u in curve.points]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with open(path, "wb") as handle:
+        handle.write(b"tokens,unique\n")
+        values = np.column_stack((curve.tokens, curve.unique)).ravel()
+        handle.writelines(_text_chunks(values, np.arange(0, values.size + 1, 2), ord(",")))
 
 
 def write_json(obj: dict, path) -> None:

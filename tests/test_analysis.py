@@ -82,7 +82,7 @@ class TestGrowthCurve:
         assert list(curve.points) == replay_unique(stream, checkpoints)
 
     def test_checkpoints_beyond_stream_dropped(self):
-        curve = growth_curve(TokenizedDataset(([1, 2],), 4), checkpoints=[1, 50])
+        curve = growth_curve(TokenizedDataset(([1, 2],), 4), checkpoints=[50, 1, -1, 0, 1])
         assert curve.points == ((1, 1), (2, 2))
 
     @given(
@@ -114,13 +114,67 @@ class TestGrowthCurve:
             assert unique <= min(tokens_seen, dataset.vocab_size)
         assert curve.final_unique == scan_dataset(dataset).used_count
 
+    @given(
+        token_datasets(max_sequences=12, max_len=40),
+        st.sampled_from(["pow2", "all", "explicit"]),
+        st.lists(st.integers(-3, 500), max_size=30),
+    )
+    def test_arrays_match_set_replay_oracle(self, dataset, policy, explicit):
+        stream = dataset.tokens.tolist()
+        total = len(stream)
+        wanted = {
+            "pow2": {2**k for k in range(total.bit_length())},
+            "all": set(range(1, total + 1)),
+            "explicit": set(explicit),
+        }[policy]
+        wanted = {n for n in wanted if 1 <= n < total} | ({total} if total else set())
+        curve = growth_curve(dataset, checkpoints=explicit if policy == "explicit" else policy)
+        expected = replay_unique(stream, wanted)
+        assert curve.tokens.dtype == curve.unique.dtype == np.int64
+        assert curve.tokens.tolist() == [n for n, _ in expected]
+        assert curve.unique.tolist() == [u for _, u in expected]
+        assert not curve.tokens.flags.writeable and not curve.unique.flags.writeable
+
     def test_invalid_curve_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tokens_seen must be strictly increasing, got 2 after 2$"):
             GrowthCurve(((2, 1), (2, 1)), 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unique_tokens 3 exceeds min\(tokens_seen=2, vocab_size=5\)$"):
             GrowthCurve(((1, 1), (2, 3)), 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unique_tokens must be non-decreasing, got 1 after 2$"):
             GrowthCurve(((3, 2), (4, 1)), 5)
+        with pytest.raises(ValueError, match=r"^tokens_seen must be strictly increasing, got 0 after 0$"):
+            GrowthCurve(np.zeros((1, 2), dtype=np.int64), 5)
+
+    @given(st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=8), st.integers(0, 10))
+    def test_first_bad_point_named_as_by_a_point_loop(self, points, vocab_size):
+        """The error names the first bad point and the first rule it breaks, in this order."""
+        expected, prev_n, prev_u = None, 0, 0
+        for n, u in points:
+            if n <= prev_n:
+                expected = f"tokens_seen must be strictly increasing, got {n} after {prev_n}"
+            elif u < prev_u:
+                expected = f"unique_tokens must be non-decreasing, got {u} after {prev_u}"
+            elif u > min(n, vocab_size):
+                expected = f"unique_tokens {u} exceeds min(tokens_seen={n}, vocab_size={vocab_size})"
+            if expected:
+                break
+            prev_n, prev_u = n, u
+        if expected is None:
+            assert GrowthCurve(points, vocab_size).points == tuple(points)
+        else:
+            with pytest.raises(ValueError) as err:
+                GrowthCurve(points, vocab_size)
+            assert str(err.value) == expected
+
+    def test_equality_compares_points_and_vocab_size(self):
+        curve = GrowthCurve(((1, 1), (2, 2)), 5)
+        assert curve == GrowthCurve(np.array([[1, 1], [2, 2]]), 5)
+        assert curve == growth_curve(TokenizedDataset(([3, 4],), 5), checkpoints="all")
+        assert curve != GrowthCurve(((1, 1), (2, 1)), 5)
+        assert curve != GrowthCurve(((1, 1), (3, 2)), 5)
+        assert curve != GrowthCurve(((1, 1), (2, 2)), 6)
+        assert curve != GrowthCurve(((1, 1),), 5)
+        assert curve != ((1, 1), (2, 2))
 
 
 class TestFitHeaps:

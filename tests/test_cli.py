@@ -750,6 +750,23 @@ class TestOutputSet:
         assert {name: after[name] for name in ("remap.json", "pruned_embeddings.depe")} == \
             {name: before[name] for name in ("remap.json", "pruned_embeddings.depe")}
 
+    @pytest.mark.parametrize("target", ["missing.csv", "growth.csv"], ids=["dangling", "loop"])
+    def test_symlink_at_output_name_is_an_existing_output(self, workspace, capsys, target):
+        """A link whose target is missing, or a link to itself, is kept without --force and replaced with it."""
+        tmp_path, _, _, dataset_path, _, _ = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        link = out / "growth.csv"
+        link.symlink_to(target)
+        argv = ["analyze", "--dataset", dataset_path, "--out", out]
+        assert run(*argv) == 4
+        assert capsys.readouterr().err == f"OUTPUT_EXISTS: output already exists (use --force to overwrite): {link}\n"
+        assert [entry.name for entry in out.iterdir()] == ["growth.csv"]
+        assert os.readlink(link) == target
+        assert run(*argv, "--force") == 0
+        assert not link.is_symlink()
+        assert link.read_bytes().startswith(b"tokens,unique\n")
+
     def test_interrupted_writer_keeps_previous_set(self, previous, monkeypatch):
         out, argv = previous
         before = _listing(out)

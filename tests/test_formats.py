@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import tempfile
 import tracemalloc
 from importlib import resources
 from unittest import mock
@@ -733,6 +734,22 @@ class TestReportAndCurveFiles:
         path = tmp_path / "growth.csv"
         formats.write_growth_csv(curve, path)
         assert path.read_bytes() == b"tokens,unique\n1,1\n2,2\n4,3\n"
+
+    @given(st.lists(st.tuples(st.integers(1, 2**48), st.integers(0, 2**48)), max_size=40),
+           st.integers(0, 2**50), _CHUNK_SIZES)
+    def test_growth_csv_matches_per_point_lines(self, steps, vocab_size, chunk_words):
+        """Random valid curves, counts of more than 10 digits included, in chunks from one byte up."""
+        points = [(2**32, min(2**32, vocab_size)), (10**12 + 1, min(2**33 + 7, vocab_size))]
+        n, u = points[-1]
+        for dn, du in steps:
+            n, u = n + dn, min(u + du, n + dn, vocab_size)
+            points.append((n, u))
+        with tempfile.TemporaryDirectory() as work, mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
+            path = os.path.join(work, "growth.csv")
+            formats.write_growth_csv(GrowthCurve(points, vocab_size), path)
+            with open(path, "rb") as handle:
+                written = handle.read()
+        assert written == ("tokens,unique\n" + "".join(f"{n},{u}\n" for n, u in points)).encode()
 
     @pytest.mark.parametrize("change", [
         pytest.param(lambda obj: [obj], id="top-level-list"),

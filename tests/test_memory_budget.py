@@ -32,12 +32,15 @@ _CHUNK = 1 << 14
 #            offsets and one chunk's temporaries; a per-line parse into int64 arrays, joined
 #            and then cast, peaked at 34.7 MiB                                                  (18.8 MiB)
 #   analyze of a .txt dataset: the same reader, which sets its peak too                        (18.8 MiB)
+#   analyze --checkpoints all: the ids, and per token one curve point (two int64s) with the temporaries
+#            of checking it and of the Heaps fit, about 81 bytes; a Python tuple per point took ~300   (162.8 MiB)
 #   restore: the learned rows, plus the remap's JSON pairs as Python objects                  (5.3 MiB)
 _BUDGETS = {
     "analyze": lambda c: 4 * c.N + 32 * c.S + 32 * c.V + 1.5 * _MIB,
     "prune": lambda c: max(4 * c.N, 4 * c.R * c.d) + 24 * c.S + 24 * c.V + 0.5 * _MIB,
     "prune-text": lambda c: c.T + 4 * c.N + 16 * c.S + 0.75 * _MIB,
     "analyze-text": lambda c: c.T + 4 * c.N + 16 * c.S + 0.75 * _MIB,
+    "analyze-all": lambda c: 4 * c.N + 84 * c.N + 32 * c.S + 32 * c.V + 1.5 * _MIB,
     "restore": lambda c: 4 * c.R * c.d + 128 * c.R + 1.25 * _MIB,
 }
 
@@ -67,6 +70,7 @@ def corpus(tmp_path_factory):
         "prune": ["prune", "--dataset", work / "dataset.dept", "--embeddings", work / "embeddings.depe"],
         "prune-text": ["prune", "--dataset", work / "dataset.txt", "--embeddings", work / "embeddings.depe"],
         "analyze-text": ["analyze", "--dataset", work / "dataset.txt"],
+        "analyze-all": ["analyze", "--dataset", work / "dataset.dept", "--checkpoints", "all"],
         "restore": ["restore", "--embeddings", work / "embeddings.depe",
                     "--learned", work / "pruned" / "pruned_embeddings.depe", "--remap", work / "pruned" / "remap.json"],
     }
