@@ -71,7 +71,7 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
         for path in paths:
             if os.path.lexists(path) and not args.force:
                 raise OutputExists(path)
-            if path.is_dir():
+            if path.is_dir() and not path.is_symlink():  # a link is replaced, not its target
                 raise UnwritableOutput(path, "is a directory")
         args.out.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(prefix=".dep-", dir=args.out))

@@ -28,12 +28,12 @@ A dataset path ending in ``.txt`` uses the text form instead: one sequence
 per line, space-separated decimal ids (an empty line is an empty sequence).
 Only ``\n`` ends a line; other ASCII whitespace separates ids like a space.
 Text is meant for fixtures and debugging, binary for large corpora. The
-reader holds the file's bytes and maps each byte to a class: digit,
-whitespace or other. Text of digits and whitespace with no id longer than
-10 digits is parsed in chunks of whole lines, one ``np.fromstring`` per
-chunk, straight into the uint32 ids; any other text goes through a
-per-line parser that gives the same results and errors. The writer fills
-one byte array per chunk of whole lines from the ids' place values.
+reader holds the file's bytes and classes each chunk of whole lines, one
+chunk at a time, to count its ids and find its first bad field; only a
+chunk with a byte other than a digit or whitespace, or a run of 19 or
+more digits, is checked further. It then parses each chunk with one
+``np.fromstring`` straight into the uint32 ids. The writer fills one byte
+array per chunk of whole lines from the ids' place values.
 
 Remaps are JSON objects ``{original_vocab_size, ordering, keep_tokens,
 pairs}`` with ``pairs`` as ``[original_id, dense_id]`` sorted by dense id;
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import struct
 from contextlib import contextmanager
@@ -258,13 +259,17 @@ def _text_chunks(tokens: np.ndarray, offsets: np.ndarray, sep: int):
         yield grid
 
 
-# The bytes of a text dataset: ASCII digits, the ASCII whitespace that str.split() splits on
-# ("\n" included, as it splits a line into ids the same way), and every other byte.
-_DIGITS = b"0123456789"
+# The bytes of a text dataset, by class: "d" an ASCII digit, " " the ASCII whitespace that str.split() splits on
+# ("\n" included, as it splits a line into ids the same way), "-", "!" a byte that int() takes but a decimal id
+# never holds (non-ASCII, "+" or "_") and "?" any other byte.
 _SPLIT_ON = bytes(b for b in range(128) if chr(b).isspace())
-_BYTE_CLASS = bytes(ord("d") if b in _DIGITS else ord(" ") if b in _SPLIT_ON else ord("?") for b in range(256))
+_BYTE_CLASS = bytes(ord("d" if b in b"0123456789" else " " if b in _SPLIT_ON else "-" if b == ord("-")
+                        else "!" if b >= 128 or b in b"+_" else "?") for b in range(256))
 _TO_SPACE = bytes(ord(" ") if b in _SPLIT_ON else b for b in range(256))
-_ID_DIGITS = 10  # of 2**32 - 1; a longer run can exceed int64, so it goes to the per-line parser
+_ID_DIGITS = 10  # of 2**32 - 1, the widest id the writer sizes a chunk for
+_LONG_RUN = b"d" * 19  # a run of fewer digits always fits int64
+_LONG_ID = re.compile(rb"-?d{19,}")
+_BAD_FIELD = re.compile(rb"\?|-(?!d)|d-")  # a field is -?d+: no other byte, and a "-" only just before a digit
 
 
 def _line_spans(data: bytes) -> list[tuple[int, int]]:
@@ -278,17 +283,23 @@ def _line_spans(data: bytes) -> list[tuple[int, int]]:
     return spans
 
 
-def _count_ids(chunk: bytes) -> int | None:
-    """The number of ids in whole lines of text, or None if a byte or a run of digits needs the per-line parser."""
-    classes = chunk.translate(_BYTE_CLASS)
-    if b"?" in classes or b"d" * (_ID_DIGITS + 1) in classes:
-        return None
-    return classes.count(b" d") + classes.startswith(b"d")  # ids are runs of digits; a chunk starts a line
+def _scan_lines(data: bytes, a: int, b: int) -> tuple[int, int, int]:
+    """The number of ids in the whole lines ``data[a:b]``, then where in ``data`` its first ``"!"`` byte is and
+    where its first field that is not a decimal int64 is, each ``len(data)`` if there is none."""
+    classes = data[a:b].translate(_BYTE_CLASS)
+    gap = np.frombuffer(classes, dtype=np.uint8) == ord(" ")
+    count = int(np.count_nonzero(gap[:-1] > gap[1:])) + (not gap[0])  # fields start after a gap or a chunk's start
+    if not any(mark in classes for mark in (b"?", b"!", b"-", _LONG_RUN)):  # only whitespace and short ids
+        return count, len(data), len(data)
+    refused = classes.find(b"!")
+    bad = [m.start() for m in [_BAD_FIELD.search(classes)] if m]
+    bad += [m.start() for m in _LONG_ID.finditer(classes) if not -2**63 <= int(data[a + m.start():a + m.end()]) < 2**63]
+    return count, a + refused if refused >= 0 else len(data), a + min(bad) if bad else len(data)
 
 
 def _parse_ids(data: bytes, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 ids of the whole lines ``data[a:b]``, of digits and whitespace only, and per line the number
-    of those ids up to its end."""
+    """The int64 ids of the whole lines ``data[a:b]``, each field ``-?d+`` within int64, and per line the
+    number of those ids up to its end."""
     spaced = data[a:b].translate(_TO_SPACE)
     gap = np.frombuffer(spaced, dtype=np.uint8) == ord(" ")
     before = np.flatnonzero(gap[:-1] > gap[1:])  # the byte before each id, but one at the chunk's start
@@ -305,68 +316,46 @@ def _parse_ids(data: bytes, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
+    """Errors in this order: not UTF-8; the first line with a ``"!"`` byte; the first line with a field that is
+    not a decimal int64; ``vocab_size`` outside ``0..2**32``; the first id outside ``[0, vocab_size)``, where
+    ``vocab_size`` defaults to max id + 1 capped at ``2**32``. So ``-0`` reads as 0 and ``-3`` is out of range."""
     data = _read_bytes(path)
+    if not data.isascii():
+        _decode_utf8(data, "text dataset")
     spans = _line_spans(data)
-    counts = [_count_ids(data[a:b]) for a, b in spans]
-    if None in counts:
-        return _read_text_lines(data, vocab_size)
+    counts, firsts = [], [len(data), len(data)]  # the first "!" byte, then the first bad field
+    for a, b in spans:
+        count, *found = _scan_lines(data, a, b)
+        counts.append(count)
+        firsts = list(map(min, firsts, found))
+    for pos in firsts:
+        if pos < len(data):
+            line_no = data.count(b"\n", 0, pos) + 1
+            raise FormatError(f"line {line_no}: token ids must be decimal integers")
     if vocab_size is not None:
         _check_vocab_size(vocab_size)
     limit = MAX_VOCAB_SIZE if vocab_size is None else vocab_size
     tokens = np.empty(sum(counts), dtype=TOKEN_DTYPE)
     # One line per newline, and one more for text after the last newline.
     offsets = np.zeros(data.count(b"\n") + (data[-1:] not in (b"", b"\n")) + 1, dtype=np.int64)
-    line, top = 0, -1
+    line, top, outside = 0, -1, None
     for a, b in spans:
         ids, ends = _parse_ids(data, a, b)
         end = line + ends.size
         offsets[line + 1:end + 1] = offsets[line] + ends
-        try:  # before the uint32 cast, so an id of 2**32 or more is reported as read
-            _check_ids(ids, offsets[line:end + 1] - offsets[line], limit)
-        except OutOfRangeToken as err:
-            raise OutOfRangeToken(line + err.sequence_index, err.position, err.token_id, limit) from None
+        if outside is None:
+            try:  # before the uint32 cast, so an id of 2**32 or more is reported as read
+                _check_ids(ids, offsets[line:end + 1] - offsets[line], limit)
+            except OutOfRangeToken as err:
+                outside = (line + err.sequence_index, err.position, err.token_id)
         tokens[offsets[line]:offsets[end]] = ids
         line, top = end, max(top, int(ids.max(initial=-1)))
         del ids  # not held while the next chunk's are made
-    return TokenizedDataset.from_flat(tokens, offsets, top + 1 if vocab_size is None else vocab_size)
-
-
-def _plain_ascii(text: str) -> bool:
-    # int() also takes "1_0", "+3" and non-ASCII digits such as "３"; decimal ids have none.
-    return text.isascii() and "_" not in text and "+" not in text
-
-
-def _read_text_lines(data: bytes, vocab_size: int | None) -> TokenizedDataset:
-    """Parse a text dataset line by line: the path for text with a byte other than an ASCII digit or
-    whitespace, or a run of more than 10 digits.
-
-    ``-0`` reads as 0 and ``00000000007`` as 7, ``-3`` is out of range, and
-    a ``+``, a ``_``, a non-ASCII character or an id of 2**63 or more is
-    :class:`FormatError` with its line.
-    """
-    text = _decode_utf8(data, "text dataset")
-    lines = text.split("\n")
-    if lines[-1] == "":  # the tail after a final newline, or an empty file
-        lines.pop()
-    if not _plain_ascii(text):
-        line_no = next(n for n, line in enumerate(lines, start=1) if not _plain_ascii(line))
-        raise FormatError(f"line {line_no}: token ids must be decimal integers")
-    del text  # the ids take more memory than the text; do not hold both
-    parsed = []
-    for line_no, line in enumerate(lines, start=1):
-        try:  # numpy calls int() on each field; past int64 it raises OverflowError
-            parsed.append(np.array(line.split(), dtype=np.int64))
-        except (ValueError, OverflowError):
-            raise FormatError(f"line {line_no}: token ids must be decimal integers") from None
-    del lines
-    offsets = np.cumsum([0] + [row.size for row in parsed], dtype=np.int64)
-    ids = np.concatenate([np.empty(0, dtype=np.int64), *parsed])
-    del parsed  # the joined ids replace the per-line arrays; do not hold both through the uint32 copy
     if vocab_size is None:
-        vocab_size = min(max(int(ids.max(initial=-1)) + 1, 0), MAX_VOCAB_SIZE)
-    _check_vocab_size(vocab_size)
-    _check_ids(ids, offsets, vocab_size)
-    return TokenizedDataset.from_flat(ids.astype(TOKEN_DTYPE), offsets, vocab_size)
+        vocab_size = min(top + 1, MAX_VOCAB_SIZE)
+    if outside:  # raised once the inferred vocabulary, which its message names, is known
+        raise OutOfRangeToken(*outside, vocab_size)
+    return TokenizedDataset.from_flat(tokens, offsets, vocab_size)
 
 
 def write_dataset(dataset: TokenizedDataset, path) -> None:

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .errors import InvalidCounts
+from .errors import FormatError, InvalidCounts
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,18 @@ def pr_all(pr_emb_value: float, param_count: ParamCount) -> float:
 
 
 def resolve_timestamp(explicit: str | None = None) -> str:
-    """UTC timestamp string, honoring SOURCE_DATE_EPOCH for reproducible runs."""
+    """UTC timestamp string, honoring SOURCE_DATE_EPOCH for reproducible runs; a value that is not a
+    representable whole number of seconds is :class:`FormatError`."""
     if explicit is not None:
         return explicit
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
+    if epoch is None:
         moment = datetime.now(timezone.utc)
+    else:
+        try:
+            moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        except (ValueError, OverflowError, OSError):  # OverflowError: past the platform's time_t
+            raise FormatError(f"SOURCE_DATE_EPOCH {epoch!r} is not a timestamp in whole seconds") from None
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

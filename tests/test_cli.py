@@ -750,12 +750,14 @@ class TestOutputSet:
         assert {name: after[name] for name in ("remap.json", "pruned_embeddings.depe")} == \
             {name: before[name] for name in ("remap.json", "pruned_embeddings.depe")}
 
-    @pytest.mark.parametrize("target", ["missing.csv", "growth.csv"], ids=["dangling", "loop"])
+    @pytest.mark.parametrize("target", ["missing.csv", "growth.csv", "../d"], ids=["dangling", "loop", "to-directory"])
     def test_symlink_at_output_name_is_an_existing_output(self, workspace, capsys, target):
-        """A link whose target is missing, or a link to itself, is kept without --force and replaced with it."""
+        """A link whose target is missing, a link to itself or a link to a directory is kept without --force and
+        replaced with it; the directory it named is left alone."""
         tmp_path, _, _, dataset_path, _, _ = workspace
         out = tmp_path / "out"
         out.mkdir()
+        (tmp_path / "d").mkdir()
         link = out / "growth.csv"
         link.symlink_to(target)
         argv = ["analyze", "--dataset", dataset_path, "--out", out]
@@ -766,6 +768,7 @@ class TestOutputSet:
         assert run(*argv, "--force") == 0
         assert not link.is_symlink()
         assert link.read_bytes().startswith(b"tokens,unique\n")
+        assert list((tmp_path / "d").iterdir()) == []
 
     def test_interrupted_writer_keeps_previous_set(self, previous, monkeypatch):
         out, argv = previous
@@ -1060,6 +1063,19 @@ class TestReport:
                        "--model-config", config_path, "--out", out) == 0
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("epoch", ["abc", "1e3", "", "99999999999999999999"],
+                             ids=["word", "float", "empty", "past-time_t"])
+    def test_malformed_source_date_epoch_is_bad_format(self, workspace, monkeypatch, capsys, epoch):
+        tmp_path, _, _, dataset_path, matrix_path, config_path = workspace
+        pruned = tmp_path / "pruned"
+        assert run("prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--out", pruned) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        out = tmp_path / "report"
+        assert run("report", "--remap", pruned / "remap.json", "--model-config", config_path, "--out", out) == 2
+        assert capsys.readouterr().err == f"BAD_FORMAT: SOURCE_DATE_EPOCH {epoch!r} is not a timestamp in whole seconds\n"
+        assert not out.exists()
 
 
 class TestCountParams:

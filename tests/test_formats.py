@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dep import (
@@ -95,7 +95,8 @@ _TEXT_PIECES = st.one_of(
     st.sampled_from([*"0123456789", *(chr(b) for b in range(128) if chr(b).isspace()), "-", "+", "_", "x", "３"]),
     _DIGIT_RUNS,
     st.sampled_from(["0000000000", "00000000007", "4294967295", "4294967296", "9999999999", "9223372036854775807",
-                     "9223372036854775808", "-0", "-3"]),
+                     "9223372036854775808", "-9223372036854775808", "-9223372036854775809", "-0", "-3", "--",
+                     "0" * 24 + "7"]),
 ).map(lambda piece: piece.encode("utf-8")) | st.just(b"\xff")
 
 
@@ -154,6 +155,8 @@ class TestDatasetFiles:
     @settings(max_examples=400)
     @given(st.lists(_TEXT_PIECES, max_size=24).map(b"".join),
            st.none() | st.integers(-1, 40) | st.sampled_from([2**32 - 1, 2**32, 2**32 + 1]), _CHUNK_SIZES)
+    @example(b"x\n+\n", None, 1)  # a "+" on a later line than a bad field is still reported first
+    @example(b"x 3\n+\n", None, formats._CHUNK_WORDS)
     def test_text_reader_matches_per_line_reference(self, data, vocab_size, chunk_words):
         """The same dataset as the per-line reference, or the same error with the same fields."""
         import tempfile, os
