@@ -13,6 +13,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from . import vocab
 from .errors import DegenerateFit, InsufficientPoints
 from .vocab import FrequencyTable, TokenizedDataset, _read_only, _vocab_arrays
 
@@ -99,29 +100,34 @@ def growth_curve(dataset: TokenizedDataset, checkpoints: CheckpointPolicy = "pow
     return GrowthCurve(np.column_stack((positions, np.searchsorted(first, positions))), dataset.vocab_size)
 
 
-_SCAN_CHUNK = 1 << 16
-
-
 def _first_positions(stream: np.ndarray, vocab_size: int) -> np.ndarray:
     """Stream position of each distinct id's first occurrence, ascending.
 
-    One pass over fixed-size chunks with a ``seen`` mask over the
-    vocabulary. Only the not-yet-seen ids of a chunk are sorted, to keep
-    the earliest of a repeated new id, so past the first chunks the pass
-    is linear in the stream; it never sorts the whole stream.
+    One pass over blocks of the stream with a ``seen`` mask over the
+    vocabulary. Only the not-yet-seen positions of a block are sorted, each
+    as one uint64 key with its id above its position in the block, so the
+    first key of each id holds its earliest position; past the first blocks
+    the pass is linear in the stream, and it never sorts the whole stream.
     """
     with _vocab_arrays(vocab_size):
         seen = np.zeros(vocab_size, dtype=bool)
-    found = []
-    for start in range(0, stream.size, _SCAN_CHUNK):
-        chunk = stream[start:start + _SCAN_CHUNK]
+    found, block = [], vocab._BLOCK
+    for start in range(0, stream.size, block):
+        chunk = stream[start:start + block]
         new = np.flatnonzero(~seen[chunk])
         if new.size:
-            ids = chunk[new]
-            _, first = np.unique(ids, return_index=True)
+            keys = chunk[new].astype(np.uint64)
+            keys <<= 32
+            keys |= new.view(np.uint64)  # a block holds fewer than 2**32 positions
+            del new
+            keys.sort()  # under a quarter of the time of np.unique's argsort of the ids
+            top = keys >> 32
+            head = np.concatenate(([True], top[1:] != top[:-1]))
+            seen[top[head]] = True
+            first = keys[head] & 0xFFFFFFFF
+            del keys, top, head
             first.sort()
-            seen[ids] = True
-            found.append(new[first] + start)
+            found.append(first.view(np.int64) + start)
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 

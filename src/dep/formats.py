@@ -13,7 +13,8 @@ Dataset, magic ``DEPT``::
 The reader loads the body into one buffer and moves the ids left over the
 length words inside it, one chunk of whole sequences at a time, so the
 dataset's ``tokens`` is a leading view of that buffer. Besides it, the
-reader holds two int64 words per sequence and one chunk's temporaries.
+reader holds one int64 offset per sequence, turned in place from where
+each length word is, and one chunk's temporaries.
 
 Embedding matrix, magic ``DEPE``::
 
@@ -28,18 +29,23 @@ A dataset path ending in ``.txt`` uses the text form instead: one sequence
 per line, space-separated decimal ids (an empty line is an empty sequence).
 Only ``\n`` ends a line; other ASCII whitespace separates ids like a space.
 Text is meant for fixtures and debugging, binary for large corpora. The
-reader holds the file's bytes and classes each chunk of whole lines, one
-chunk at a time, to count its ids and find its first bad field; only a
-chunk with a byte other than a digit or whitespace, or a run of 19 or
-more digits, is checked further. It then parses each chunk with one
+reader reads the file twice through one handle, one block of whole lines
+at a time, and never holds its bytes whole. The first pass classes each
+block's bytes to count its ids and lines and find its first bad field;
+only a block with a byte other than a digit or whitespace, or a run of 19
+or more digits, is checked further. The second parses each block with one
 ``np.fromstring`` straight into the uint32 ids. The writer fills one byte
 array per chunk of whole lines from the ids' place values.
+
+Every chunk, block and slice that these readers and writers, the counting
+and the remapping handle is bounded by the one block size ``vocab._BLOCK``,
+read at call time.
 
 Remaps are JSON objects ``{original_vocab_size, ordering, keep_tokens,
 pairs}`` with ``pairs`` as ``[original_id, dense_id]`` sorted by dense id;
 JSON keeps them auditable and they hold at most one pair per vocabulary
 entry. Writers emit a fixed key order so identical inputs give identical
-bytes.
+bytes, and write a trailing list of ids in pieces of about one block.
 
 Every reader opens its input through ``_open``, so an input that cannot be
 opened or read, or is not a regular file, is :class:`MissingInput`; text
@@ -53,12 +59,14 @@ import os
 import re
 import stat
 import struct
+from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from . import vocab
 from .analysis import GrowthCurve
 from .embeddings import EmbeddingFile, EmbeddingMatrix, RowPatch
 from .errors import (
@@ -80,7 +88,6 @@ DTYPE_FLOAT32 = 1
 
 _DATASET_HEADER = struct.Struct("<4sIQQ")
 _EMBEDDINGS_HEADER = struct.Struct("<4sIBQQ")
-_CHUNK_WORDS = 1 << 20  # body words, or text bytes, per chunk; bounds the dataset readers' and writers' temporaries
 _COPY_CALL_BYTES = 1 << 30  # per sendfile(2), under its 2 GiB limit
 
 
@@ -124,11 +131,16 @@ def _read_bytes(path) -> bytes:
         return handle.read()
 
 
-def _decode_utf8(data: bytes, what: str) -> str:
+def _decode_utf8(data: bytes, what: str, at: int = 0) -> str:
+    """``data`` decoded; bytes that are not UTF-8 are :class:`FormatError` with ``UnicodeDecodeError``'s message,
+    its positions counted from ``at``, where ``data`` starts in its file."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise FormatError(f"{what} is not UTF-8: {err}") from None
+        start, end = at + err.start, at + err.end
+        where = (f"byte 0x{err.object[err.start]:02x} in position {start}" if end == start + 1
+                 else f"bytes in position {start}-{end - 1}")
+        raise FormatError(f"{what} is not UTF-8: '{err.encoding}' codec can't decode {where}: {err.reason}") from None
 
 
 def _read_json_object(path, what: str) -> dict:
@@ -172,22 +184,25 @@ def write_dataset_binary(dataset: TokenizedDataset, path) -> None:
 def _v1_body_chunks(dataset: TokenizedDataset):
     """Length words interleaved with ids, in chunks of whole sequences."""
     tokens, offsets = dataset.tokens, dataset.offsets
-    for i, j in _chunk_spans(offsets + np.arange(offsets.size)):
+    for i, j in _chunk_spans(offsets):
         ids = tokens[offsets[i]:offsets[j]]
         yield np.insert(ids, offsets[i:j] - offsets[i], np.diff(offsets[i:j + 1])).astype("<u4", copy=False)
 
 
-def _chunk_spans(starts: np.ndarray):
-    """``(i, j)`` of each chunk of whole sequences ``i..j-1``.
+def _chunk_spans(offsets: np.ndarray):
+    """``(i, j)`` of each chunk of whole sequences ``i..j-1`` of a dataset with ``offsets``.
 
-    ``starts`` holds where each sequence starts, then the end: for a
-    ``DEPT`` body, the word index of each length word and the body size. A
-    chunk spans at most ``_CHUNK_WORDS`` of those units unless one sequence
-    alone is longer.
+    A chunk spans at most one block of ids and sequences together, each
+    sequence counting one unit for its ``DEPT`` length word or text newline,
+    unless one sequence alone is longer. Sequence ``k`` starts at unit
+    ``offsets[k] + k``, found by bisection, so no array of those units is made.
     """
-    i, n = 0, starts.size - 1
+    def units(k: int) -> int:
+        return int(offsets[k]) + k
+
+    i, n, block = 0, offsets.size - 1, vocab._BLOCK
     while i < n:
-        j = max(i + 1, int(np.searchsorted(starts, starts[i] + _CHUNK_WORDS, "right")) - 1)
+        j = max(i + 1, bisect_right(range(n + 1), units(i) + block, lo=i + 1, key=units) - 1)
         yield i, j
         i = j
 
@@ -200,13 +215,14 @@ def read_dataset_binary(path) -> TokenizedDataset:
     body = body.astype(TOKEN_DTYPE, copy=False)
     if num_sequences > body.size:
         raise FormatError(f"header declares {num_sequences} sequences but the body holds only {body.size} words")
-    # Walk the length words: sequence i's length is body word starts[i].
-    starts = np.empty(num_sequences + 1, dtype=np.int64)
-    words, marks = memoryview(body), memoryview(starts)
+    # Walk the length words: sequence i's length is body word offsets[i] + i, where offsets[i] counts the ids
+    # before it.
+    offsets = np.empty(num_sequences + 1, dtype=np.int64)
+    words, marks = memoryview(body), memoryview(offsets)
     pos = 0
     try:
         for i in range(num_sequences):
-            marks[i] = pos
+            marks[i] = pos - i
             pos += words[pos] + 1
     except IndexError:
         raise FormatError(f"unexpected end of file while reading sequence {i} length") from None
@@ -214,12 +230,12 @@ def read_dataset_binary(path) -> TokenizedDataset:
         raise FormatError(f"unexpected end of file while reading sequence {num_sequences - 1} ids")
     if pos < body.size:
         raise FormatError("trailing data after declared content")
-    starts[-1] = pos
-    offsets = starts - np.arange(num_sequences + 1)
+    offsets[-1] = pos - num_sequences
     # Move the ids left over the length words in place, one chunk at a time. A
     # chunk's ids land at or before where they were read, never on an unread word.
-    for i, j in _chunk_spans(starts):
-        body[offsets[i]:offsets[j]] = np.delete(body[starts[i]:starts[j]], starts[i:j] - starts[i])
+    for i, j in _chunk_spans(offsets):
+        length_at = offsets[i:j] - offsets[i] + np.arange(j - i)  # where the chunk's length words are in it
+        body[offsets[i]:offsets[j]] = np.delete(body[offsets[i] + i:offsets[j] + j], length_at)
     return TokenizedDataset.from_flat(body[:offsets[-1]], offsets, int(vocab_size))
 
 
@@ -231,10 +247,10 @@ def write_dataset_text(dataset: TokenizedDataset, path) -> None:
 def _text_chunks(tokens: np.ndarray, offsets: np.ndarray, sep: int):
     """Lines ``tokens[offsets[i]:offsets[i + 1]]`` of decimal ids joined by the byte ``sep``, as uint8 arrays.
 
-    Each array is one chunk of whole lines, filled from its ids' place values: at most ``_CHUNK_WORDS``
-    bytes, counting each id at ``_ID_DIGITS`` digits, unless one line alone is longer.
+    Each array is one chunk of whole lines, filled from its ids' place values: at most one block of ids and
+    lines, so at most ``_ID_DIGITS + 1`` bytes per unit, unless one line alone is longer.
     """
-    for i, j in _chunk_spans(offsets * (_ID_DIGITS + 1) + np.arange(offsets.size)):
+    for i, j in _chunk_spans(offsets):
         ids, bounds = tokens[offsets[i]:offsets[j]], offsets[i:j + 1] - offsets[i]
         empty = bounds[1:] == bounds[:-1]
         # Bytes per id: its digits and the separator or newline after it, plus a lone newline for
@@ -255,7 +271,9 @@ def _text_chunks(tokens: np.ndarray, offsets: np.ndarray, sep: int):
         while ids.size:  # one pass per place value, units first, over the ids that have that digit
             grid[place] = ids % 10 + ord("0")
             more = ids >= 10
-            place, ids = place[more] - 1, ids[more] // 10
+            place, ids = place[more], ids[more]  # copies, so the ids' own buffer is never written
+            place -= 1
+            ids //= 10
         yield grid
 
 
@@ -272,45 +290,53 @@ _LONG_ID = re.compile(rb"-?d{19,}")
 _BAD_FIELD = re.compile(rb"\?|-(?!d)|d-")  # a field is -?d+: no other byte, and a "-" only just before a digit
 
 
-def _line_spans(data: bytes) -> list[tuple[int, int]]:
-    """``(a, b)`` of each chunk ``data[a:b]`` of whole lines: at most ``_CHUNK_WORDS`` bytes, unless one line
-    alone is longer."""
-    spans, a = [], 0
-    while a < len(data):
-        b = data.rfind(b"\n", a, a + _CHUNK_WORDS) + 1 or data.find(b"\n", a + _CHUNK_WORDS) + 1 or len(data)
-        spans.append((a, b))
-        a = b
-    return spans
+def _line_blocks(handle):
+    """``(at, lines)`` of each block of whole lines in the file ``handle``, ``at`` being where it starts.
+
+    A block is what was left of the previous read and the next read of one
+    block's bytes up to its last newline; a line longer than a read is
+    joined once from its pieces. Text after the last newline ends the file.
+    """
+    handle.seek(0)
+    at, rest = 0, []
+    while piece := handle.read(vocab._BLOCK):
+        cut = piece.rfind(b"\n") + 1
+        if cut:
+            lines = b"".join([*rest, piece[:cut]])
+            yield at, lines
+            at, rest = at + len(lines), []
+        rest.append(piece[cut:])
+    if any(rest):
+        yield at, b"".join(rest)
 
 
-def _scan_lines(data: bytes, a: int, b: int) -> tuple[int, int, int]:
-    """The number of ids in the whole lines ``data[a:b]``, then where in ``data`` its first ``"!"`` byte is and
-    where its first field that is not a decimal int64 is, each ``len(data)`` if there is none."""
-    classes = data[a:b].translate(_BYTE_CLASS)
+def _scan_lines(lines: bytes) -> tuple[int, int, int]:
+    """The number of ids in the whole ``lines``, then where its first ``"!"`` byte is and where its first field
+    that is not a decimal int64 is, each -1 if there is none."""
+    classes = lines.translate(_BYTE_CLASS)
     gap = np.frombuffer(classes, dtype=np.uint8) == ord(" ")
-    count = int(np.count_nonzero(gap[:-1] > gap[1:])) + (not gap[0])  # fields start after a gap or a chunk's start
+    count = int(np.count_nonzero(gap[:-1] > gap[1:])) + (not gap[0])  # fields start after a gap or a block's start
     if not any(mark in classes for mark in (b"?", b"!", b"-", _LONG_RUN)):  # only whitespace and short ids
-        return count, len(data), len(data)
-    refused = classes.find(b"!")
+        return count, -1, -1
     bad = [m.start() for m in [_BAD_FIELD.search(classes)] if m]
-    bad += [m.start() for m in _LONG_ID.finditer(classes) if not -2**63 <= int(data[a + m.start():a + m.end()]) < 2**63]
-    return count, a + refused if refused >= 0 else len(data), a + min(bad) if bad else len(data)
+    bad += [m.start() for m in _LONG_ID.finditer(classes) if not -2**63 <= int(lines[m.start():m.end()]) < 2**63]
+    return count, classes.find(b"!"), min(bad, default=-1)
 
 
-def _parse_ids(data: bytes, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 ids of the whole lines ``data[a:b]``, each field ``-?d+`` within int64, and per line the
-    number of those ids up to its end."""
-    spaced = data[a:b].translate(_TO_SPACE)
+def _parse_ids(lines: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 ids of the whole ``lines``, each field ``-?d+`` within int64, and per line the number of those
+    ids up to its end."""
+    spaced = lines.translate(_TO_SPACE)
     gap = np.frombuffer(spaced, dtype=np.uint8) == ord(" ")
-    before = np.flatnonzero(gap[:-1] > gap[1:])  # the byte before each id, but one at the chunk's start
+    before = np.flatnonzero(gap[:-1] > gap[1:])  # the byte before each id, but one at the block's start
     lead = int(not gap[0])
     del gap  # each per-byte temporary goes before the next is made
     # With a count, fromstring does not read whitespace alone as one 0.
     ids = np.fromstring(spaced, dtype=np.int64, sep=" ", count=lead + before.size)
     del spaced
-    newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8, count=b - a, offset=a) == ord("\n"))
+    newlines = np.flatnonzero(np.frombuffer(lines, dtype=np.uint8) == ord("\n"))
     ends = np.searchsorted(before, newlines) + lead
-    if data[b - 1] != ord("\n"):  # the file's last line, without a newline
+    if lines[-1] != ord("\n"):  # the file's last line, without a newline
         ends = np.append(ends, ids.size)
     return ids, ends
 
@@ -318,39 +344,53 @@ def _parse_ids(data: bytes, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
     """Errors in this order: not UTF-8; the first line with a ``"!"`` byte; the first line with a field that is
     not a decimal int64; ``vocab_size`` outside ``0..2**32``; the first id outside ``[0, vocab_size)``, where
-    ``vocab_size`` defaults to max id + 1 capped at ``2**32``. So ``-0`` reads as 0 and ``-3`` is out of range."""
-    data = _read_bytes(path)
-    if not data.isascii():
-        _decode_utf8(data, "text dataset")
-    spans = _line_spans(data)
-    counts, firsts = [], [len(data), len(data)]  # the first "!" byte, then the first bad field
-    for a, b in spans:
-        count, *found = _scan_lines(data, a, b)
-        counts.append(count)
-        firsts = list(map(min, firsts, found))
-    for pos in firsts:
-        if pos < len(data):
-            line_no = data.count(b"\n", 0, pos) + 1
-            raise FormatError(f"line {line_no}: token ids must be decimal integers")
-    if vocab_size is not None:
-        _check_vocab_size(vocab_size)
-    limit = MAX_VOCAB_SIZE if vocab_size is None else vocab_size
-    tokens = np.empty(sum(counts), dtype=TOKEN_DTYPE)
-    # One line per newline, and one more for text after the last newline.
-    offsets = np.zeros(data.count(b"\n") + (data[-1:] not in (b"", b"\n")) + 1, dtype=np.int64)
-    line, top, outside = 0, -1, None
-    for a, b in spans:
-        ids, ends = _parse_ids(data, a, b)
-        end = line + ends.size
-        offsets[line + 1:end + 1] = offsets[line] + ends
-        if outside is None:
-            try:  # before the uint32 cast, so an id of 2**32 or more is reported as read
-                _check_ids(ids, offsets[line:end + 1] - offsets[line], limit)
-            except OutOfRangeToken as err:
-                outside = (line + err.sequence_index, err.position, err.token_id)
-        tokens[offsets[line]:offsets[end]] = ids
-        line, top = end, max(top, int(ids.max(initial=-1)))
-        del ids  # not held while the next chunk's are made
+    ``vocab_size`` defaults to max id + 1 capped at ``2**32``. So ``-0`` reads as 0 and ``-3`` is out of range.
+
+    The file is read twice through one handle, one block of whole lines at a time: first to check it and count
+    its ids and lines, then to parse them. A file whose second read does not hold the ids and lines counted in the
+    first has changed in between, which is :class:`FormatError`.
+    """
+    with _open(path) as handle:
+        total, lines, last = 0, 0, b"\n"
+        firsts = [0, 0]  # line numbers of the first "!" byte and of the first bad field
+        for at, block in _line_blocks(handle):
+            if not block.isascii():
+                _decode_utf8(block, "text dataset", at)
+            count, *found = _scan_lines(block)
+            for k, pos in enumerate(found):
+                if pos >= 0 and not firsts[k]:
+                    firsts[k] = lines + block.count(b"\n", 0, pos) + 1
+            total, lines, last = total + count, lines + block.count(b"\n"), block[-1:]
+        lines += last != b"\n"  # text after the last newline is one more line
+        for line_no in firsts:
+            if line_no:
+                raise FormatError(f"line {line_no}: token ids must be decimal integers")
+        if vocab_size is not None:
+            _check_vocab_size(vocab_size)
+        limit = MAX_VOCAB_SIZE if vocab_size is None else vocab_size
+        tokens = np.empty(total, dtype=TOKEN_DTYPE)
+        offsets = np.zeros(lines + 1, dtype=np.int64)
+        line, top, outside = 0, -1, None
+        changed = FormatError(f"text dataset {path} changed while it was read")
+        for _, block in _line_blocks(handle):
+            try:
+                ids, ends = _parse_ids(block)
+            except ValueError:  # fromstring met a field the first pass did not see
+                raise changed from None
+            end = line + ends.size
+            if end > lines or offsets[line] + ids.size > total:
+                raise changed
+            offsets[line + 1:end + 1] = offsets[line] + ends
+            if outside is None:
+                try:  # before the uint32 cast, so an id of 2**32 or more is reported as read
+                    _check_ids(ids, offsets[line:end + 1] - offsets[line], limit)
+                except OutOfRangeToken as err:
+                    outside = (line + err.sequence_index, err.position, err.token_id)
+            tokens[offsets[line]:offsets[end]] = ids
+            line, top = end, max(top, int(ids.max(initial=-1)))
+            del ids  # not held while the next block's are made
+        if line != lines or offsets[line] != total:
+            raise changed
     if vocab_size is None:
         vocab_size = min(top + 1, MAX_VOCAB_SIZE)
     if outside:  # raised once the inferred vocabulary, which its message names, is known
@@ -492,33 +532,54 @@ def read_embeddings(path, rows=None) -> EmbeddingMatrix:
     return EmbeddingMatrix(out)
 
 
-def _dumps_ids_last(obj: dict) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"`` for a dict whose last value is an integer array of ids or of id rows.
+def _json_pieces(obj: dict):
+    """``json.dumps(obj, indent=2) + "\\n"`` in pieces, for a dict whose last value is an integer array of ids or of
+    id rows.
 
     That array is listed as ``json.dumps`` would list it, but formatted
     from one fixed pattern per item rather than by ``json``'s pure-Python
-    encoder, which ``indent`` selects.
+    encoder, which ``indent`` selects. Each piece lists at most
+    ``_BLOCK // 16`` ids, a pair counting as two, so about one block of
+    text: the ids are never all Python ints at once.
     """
     *head, (key, ids) = obj.items()
     text = json.dumps({**dict(head), key: []}, indent=2) + "\n"
     if not len(ids):
-        return text
+        yield text
+        return
+    yield text.removesuffix("[]\n}\n") + "[\n"
     item = "    {}" if ids.ndim == 1 else "    [\n" + ",\n".join(["      {}"] * ids.shape[1]) + "\n    ]"
-    listed = ",\n".join([item] * len(ids)).format(*ids.ravel().tolist())  # one format call for the whole list
-    return text.removesuffix("[]\n}\n") + "[\n" + listed + "\n  ]\n}\n"
+    step = max(1, vocab._BLOCK // (16 * item.count("{}")))
+    for start in range(0, len(ids), step):
+        part = ids[start:start + step]
+        yield ",\n" * bool(start) + ",\n".join([item] * len(part)).format(*part.ravel().tolist())
+    yield "\n  ]\n}\n"
 
 
-def remap_to_json(remap: RemapTable) -> str:
-    return _dumps_ids_last({
+def _dumps_ids_last(obj: dict) -> str:
+    return "".join(_json_pieces(obj))
+
+
+def _write_pieces(path, pieces) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(pieces)
+
+
+def _remap_fields(remap: RemapTable) -> dict:
+    return {
         "original_vocab_size": remap.original_vocab_size,
         "ordering": remap.ordering.value,
         "keep_tokens": list(remap.keep_tokens),
         "pairs": np.column_stack((remap.inverse, np.arange(remap.reduced_size))),
-    })
+    }
+
+
+def remap_to_json(remap: RemapTable) -> str:
+    return _dumps_ids_last(_remap_fields(remap))
 
 
 def write_remap(remap: RemapTable, path) -> None:
-    Path(path).write_text(remap_to_json(remap), encoding="utf-8")
+    _write_pieces(path, _json_pieces(_remap_fields(remap)))
 
 
 def read_remap(path) -> RemapTable:
@@ -571,7 +632,7 @@ def write_growth_csv(curve: GrowthCurve, path) -> None:
 
 def write_json(obj: dict, path) -> None:
     """``obj`` as ``json.dumps(obj, indent=2)`` and a newline; its last value is an integer array, written as a list."""
-    Path(path).write_text(_dumps_ids_last(obj), encoding="utf-8")
+    _write_pieces(path, _json_pieces(obj))
 
 
 _CONFIG_REQUIRED = ("vocab_size", "d_model", "num_layers", "num_heads")

@@ -113,8 +113,8 @@ def pr_all(pr_emb_value: float, param_count: ParamCount) -> float:
 
 
 def resolve_timestamp(explicit: str | None = None) -> str:
-    """UTC timestamp string, honoring SOURCE_DATE_EPOCH for reproducible runs; a value that is not a
-    representable whole number of seconds is :class:`FormatError`."""
+    """UTC timestamp string, honoring SOURCE_DATE_EPOCH for reproducible runs; a value that is not ASCII digits
+    alone, or is past the platform's range, is :class:`FormatError`."""
     if explicit is not None:
         return explicit
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
@@ -122,6 +122,8 @@ def resolve_timestamp(explicit: str | None = None) -> str:
         moment = datetime.now(timezone.utc)
     else:
         try:
+            if not (epoch.isascii() and epoch.isdigit()):  # int() would also take "1_7", " 17 ", "+17" and "-5"
+                raise ValueError
             moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
         except (ValueError, OverflowError, OSError):  # OverflowError: past the platform's time_t
             raise FormatError(f"SOURCE_DATE_EPOCH {epoch!r} is not a timestamp in whole seconds") from None

@@ -18,8 +18,8 @@ views) and safe to share between threads. The one exception is a dataset
 handed over to ``apply_remap(dataset, remap, in_place=True)``: the dense ids
 are written over its token buffer, so the caller must not use it, or any
 view of its arrays, afterwards. Counting and remapping run on one thread
-over fixed-size slices of ``tokens``, so their temporaries stay bounded
-whatever the corpus size. A ``MemoryError`` while allocating the arrays
+over blocks of ``tokens`` of the one size ``_BLOCK``, so their temporaries
+stay bounded whatever the corpus size. A ``MemoryError`` while allocating the arrays
 that hold one entry per vocabulary id is :class:`VocabTooLarge`.
 """
 
@@ -41,8 +41,10 @@ MAX_VOCAB_SIZE = 2**32  # ids are u32
 COUNT_DTYPE = np.int64
 # Forward-LUT entry of an id outside the remap domain; never below reduced_size.
 _UNMAPPED = np.iinfo(TOKEN_DTYPE).max
-# Tokens per bincount call or remap slice; bounds their temporaries (bincount casts its slice to intp).
-_COUNT_CHUNK = 1 << 18
+# The one block size of every bounded pass over token ids, read at call time: ids per bincount call, remap slice
+# or first-position scan; ids plus sequences per chunk a dataset reader or writer moves; bytes per text-dataset
+# read. It bounds their temporaries (bincount casts its block to intp) whatever the corpus size.
+_BLOCK = 1 << 17
 
 
 @contextmanager
@@ -300,11 +302,11 @@ class RemapTable:
 
 def scan_dataset(dataset: TokenizedDataset) -> FrequencyTable:
     """Count occurrences of every vocabulary id across the whole dataset."""
-    tokens, vocab_size = dataset.tokens, dataset.vocab_size
+    tokens, vocab_size, block = dataset.tokens, dataset.vocab_size, _BLOCK
     with _vocab_arrays(vocab_size):
         counts = np.zeros(vocab_size, dtype=COUNT_DTYPE)
-        for start in range(0, tokens.size, _COUNT_CHUNK):
-            counts += np.bincount(tokens[start:start + _COUNT_CHUNK], minlength=vocab_size)
+        for start in range(0, tokens.size, block):
+            counts += np.bincount(tokens[start:start + block], minlength=vocab_size)
     return FrequencyTable(counts)
 
 
@@ -337,7 +339,10 @@ def build_remap(
     for token in keep:
         if token < 0 or token >= freqs.vocab_size:
             raise KeepTokenOutOfRange(token, freqs.vocab_size)
-    domain = np.union1d(freqs.used_ids, np.asarray(keep, dtype=np.int64))
+    with _vocab_arrays(freqs.vocab_size):
+        member = freqs.counts > 0
+    member[keep] = True
+    domain = np.flatnonzero(member)  # np.union1d would import numpy.ma (~1.5 MiB) on first use
     if ordering is RemapOrdering.FREQUENCY_DESCENDING and domain.size:
         # Stable sort on a domain already ascending by id gives the id tie-break.
         domain = domain[np.argsort(-freqs.counts[domain], kind="stable")]
@@ -361,22 +366,22 @@ def apply_remap(dataset: TokenizedDataset, remap: RemapTable, in_place: bool = F
     which cannot be written over, is left as it was and the dense ids go
     into a new array.
     """
-    tokens, offsets, lut = dataset.tokens, dataset.offsets, remap._forward_lut
+    tokens, offsets, lut, block = dataset.tokens, dataset.offsets, remap._forward_lut, _BLOCK
     out = tokens.view()
     if in_place:
         with suppress(ValueError):  # numpy refuses to make a view of a read-only buffer writable
             out.flags.writeable = True
     if not out.flags.writeable:
         out = np.empty_like(tokens)
-    for start in range(0, tokens.size, _COUNT_CHUNK):
-        piece = tokens[start:start + _COUNT_CHUNK]
+    for start in range(0, tokens.size, block):
+        piece = tokens[start:start + block]
         # Indexing casts the ids in a small buffer, where take() makes an intp copy of the slice. An id past
         # the vocabulary, which only a foreign corpus has, clips to lut's last entry, which is unmapped.
         mapped = lut[piece] if int(piece.max()) < lut.size else np.take(lut, piece, mode="clip")
         if int(mapped.max()) >= remap.reduced_size:  # check before writing, to report the original id
             at = int(np.argmax(mapped >= remap.reduced_size))
             raise UnmappedToken(*_locate(offsets, start + at), int(piece[at]))
-        out[start:start + _COUNT_CHUNK] = mapped
+        out[start:start + block] = mapped
     return TokenizedDataset.from_flat(out, offsets, remap.reduced_size)
 
 

@@ -20,7 +20,7 @@ from dep import (
     growth_curve,
     scan_dataset,
 )
-from dep import analysis
+from dep import vocab
 
 from _strategies import token_datasets
 
@@ -94,7 +94,7 @@ class TestGrowthCurve:
         stream = dataset.tokens
         explicit = range(1, stream.size + 1, 3)
         checkpoints = list(explicit) if policy == "explicit" else policy
-        with mock.patch.object(analysis, "_SCAN_CHUNK", chunk):  # many chunk boundaries
+        with mock.patch.object(vocab, "_BLOCK", chunk):  # many block boundaries
             curve = growth_curve(dataset, checkpoints=checkpoints)
         positions = [n for n, _ in curve.points]
         if policy == "all":

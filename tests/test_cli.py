@@ -783,6 +783,34 @@ class TestOutputSet:
             run(*argv)
         assert _listing(out) == before
 
+    @pytest.mark.parametrize("subcommand", ["analyze", "prune"])
+    def test_text_dataset_growing_between_its_two_reads_keeps_previous_set(self, workspace, capsys, monkeypatch,
+                                                                           subcommand):
+        """The text reader counts in its first read; a line appended before the second exits 2, and nothing is
+        written past the ids the first read allocated."""
+        tmp_path, dataset, _, _, matrix_path, _ = workspace
+        text_path, out = tmp_path / "dataset.txt", tmp_path / "out"
+        formats.write_dataset_text(dataset, text_path)
+        argv = [subcommand, "--dataset", text_path, "--out", out, "--force"]
+        if subcommand == "prune":
+            argv += ["--embeddings", matrix_path]
+        assert run(*argv) == 0
+        before = _listing(out)
+        capsys.readouterr()
+        blocks, reads = formats._line_blocks, []
+
+        def grow_before_second_read(handle):
+            reads.append(handle)
+            if len(reads) == 2:
+                with open(text_path, "ab") as growing:
+                    growing.write(b"1 3 5\n")
+            return blocks(handle)
+
+        monkeypatch.setattr(formats, "_line_blocks", grow_before_second_read)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"BAD_FORMAT: text dataset {text_path} changed while it was read\n"
+        assert _listing(out) == before
+
     def test_successful_runs_write_exactly_the_documented_files(self, workspace):
         tmp_path, dataset, _, dataset_path, matrix_path, config_path = workspace
         text_path = tmp_path / "dataset.txt"
@@ -1064,8 +1092,10 @@ class TestReport:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("epoch", ["abc", "1e3", "", "99999999999999999999"],
-                             ids=["word", "float", "empty", "past-time_t"])
+    @pytest.mark.parametrize("epoch", ["abc", "1e3", "", "99999999999999999999", "1_7", " 17 ", "+17", "-5",
+                                       "\u0661\u0667"],
+                             ids=["word", "float", "empty", "past-time_t", "underscore", "spaces", "plus", "negative",
+                                  "arabic-indic-digits"])
     def test_malformed_source_date_epoch_is_bad_format(self, workspace, monkeypatch, capsys, epoch):
         tmp_path, _, _, dataset_path, matrix_path, config_path = workspace
         pruned = tmp_path / "pruned"
@@ -1123,3 +1153,19 @@ class TestPipeline:
         assert run("report", "--remap", tmp_path / "p" / "remap.json",
                    "--model-config", config_path, "--out", tmp_path / "rep") == 0
         assert time.monotonic() - start < 5.0
+
+
+def test_prune_does_not_import_numpy_ma(workspace):
+    """``np.union1d`` imports ``numpy.ma`` on first use, about 1.5 MiB of RSS; ``prune`` builds its remap without it."""
+    tmp_path, _, _, dataset_path, matrix_path, _ = workspace
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = "print('numpy.ma' in sys.modules, file=sys.stderr)"
+    numpy_alone = subprocess.run([sys.executable, "-c", f"import sys, numpy; {loaded}"], env=env,
+                                 capture_output=True, text=True, timeout=60)
+    if numpy_alone.stderr == "True\n":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    argv = ["prune", "--dataset", dataset_path, "--embeddings", matrix_path, "--keep", "0,7", "--out", tmp_path / "out"]
+    result = subprocess.run([sys.executable, "-c", f"import sys; from dep.cli import main; code = main(); {loaded}; "
+                             "sys.exit(code)", *map(str, argv)], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "False\n")

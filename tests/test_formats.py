@@ -29,7 +29,7 @@ from dep import (
     report_from_counts,
     restore_embeddings,
 )
-from dep import formats
+from dep import formats, vocab
 
 from _strategies import float32_matrices, token_datasets
 
@@ -89,7 +89,7 @@ def _outcome(read, source, vocab_size):
     return dataset.to_lists(), dataset.vocab_size
 
 
-_CHUNK_SIZES = st.sampled_from([1, 2, 3, 7, formats._CHUNK_WORDS])
+_CHUNK_SIZES = st.sampled_from([1, 2, 3, 7, vocab._BLOCK])
 _DIGIT_RUNS = st.sampled_from([1, 2, 10, 11, 19, 20]).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n))
 _TEXT_PIECES = st.one_of(
     st.sampled_from([*"0123456789", *(chr(b) for b in range(128) if chr(b).isspace()), "-", "+", "_", "x", "３"]),
@@ -111,8 +111,21 @@ def _empty_line_datasets():
     return st.integers(0, 5).map(lambda n: TokenizedDataset([[]] * n, 3))
 
 
+def _change_before_second_read(monkeypatch, path, change) -> None:
+    """Rewrite the file ``path`` to ``change(its bytes)`` just before the text reader's second read of it."""
+    blocks, calls = formats._line_blocks, []
+
+    def change_then_read(handle):
+        calls.append(handle)
+        if len(calls) == 2:
+            path.write_bytes(change(path.read_bytes()))  # the same file, which the reader holds open
+        return blocks(handle)
+
+    monkeypatch.setattr(formats, "_line_blocks", change_then_read)
+
+
 class TestDatasetFiles:
-    @given(token_datasets(max_sequences=12), st.sampled_from([1, 2, 3, 7, formats._CHUNK_WORDS]))
+    @given(token_datasets(max_sequences=12), st.sampled_from([1, 2, 3, 7, vocab._BLOCK]))
     def test_binary_roundtrip(self, dataset, chunk_words):
         """Any chunk size reads back the written dataset, with empty, no and longer-than-a-chunk sequences."""
         import tempfile, os
@@ -120,7 +133,7 @@ class TestDatasetFiles:
         fd, path = tempfile.mkstemp(suffix=".dept")
         os.close(fd)
         try:
-            with mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
+            with mock.patch.object(vocab, "_BLOCK", chunk_words):
                 formats.write_dataset_binary(dataset, path)
                 read = formats.read_dataset_binary(path)
             assert read == dataset
@@ -143,7 +156,7 @@ class TestDatasetFiles:
         fd, path = tempfile.mkstemp(suffix=".txt")
         os.close(fd)
         try:
-            with mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
+            with mock.patch.object(vocab, "_BLOCK", chunk_words):
                 formats.write_dataset_text(dataset, path)
                 with open(path, "rb") as handle:
                     expected = "".join(" ".join(map(str, ids)) + "\n" for ids in dataset.to_lists())
@@ -156,7 +169,12 @@ class TestDatasetFiles:
     @given(st.lists(_TEXT_PIECES, max_size=24).map(b"".join),
            st.none() | st.integers(-1, 40) | st.sampled_from([2**32 - 1, 2**32, 2**32 + 1]), _CHUNK_SIZES)
     @example(b"x\n+\n", None, 1)  # a "+" on a later line than a bad field is still reported first
-    @example(b"x 3\n+\n", None, formats._CHUNK_WORDS)
+    @example(b"x 3\n+\n", None, vocab._BLOCK)
+    @example(b"+\nx\n7\n\xff\n", None, 2)  # a byte that is not UTF-8 wins from a later block, at its file position
+    @example(b"1\n+ x\n" + b"2\n" * 40 + b"3\xe3\x81\n", None, 3)  # ... and an error naming two bytes
+    @example(b"1 22 333 4444\n5 x\n6\n", None, 3)  # a line longer than a block, then a bad field
+    @example(b"1 2\n\n3 44", None, 2)  # no newline at the end, in a later block than the first
+    @example(b"\n\n\n", None, 1)  # only newlines: three empty sequences
     def test_text_reader_matches_per_line_reference(self, data, vocab_size, chunk_words):
         """The same dataset as the per-line reference, or the same error with the same fields."""
         import tempfile, os
@@ -165,11 +183,25 @@ class TestDatasetFiles:
         os.write(fd, data)
         os.close(fd)
         try:
-            with mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
+            with mock.patch.object(vocab, "_BLOCK", chunk_words):
                 got = _outcome(formats.read_dataset_text, path, vocab_size)
         finally:
             os.unlink(path)
         assert got == _outcome(reference_read_text, data, vocab_size)
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda data: data + b"7\n", id="grown"),
+        pytest.param(lambda data: data[:4], id="cut"),
+        pytest.param(lambda data: data.replace(b"5", b"x"), id="rewritten"),
+    ])
+    def test_text_changed_between_its_two_reads_is_bad_format(self, tmp_path, monkeypatch, change):
+        """The first read counts the ids and lines; a second read that finds others raises before writing past
+        what the first allocated."""
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1 2\n3 4\n5 6\n")
+        _change_before_second_read(monkeypatch, path, change)
+        with pytest.raises(FormatError, match=f"^text dataset {path} changed while it was read$"):
+            formats.read_dataset_text(path)
 
     def test_text_vocab_inferred_as_max_plus_one(self, tmp_path):
         path = tmp_path / "data.txt"
@@ -268,7 +300,7 @@ class TestDatasetFiles:
         fd, path = tempfile.mkstemp(suffix=".dept")
         os.close(fd)
         try:
-            with mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
+            with mock.patch.object(vocab, "_BLOCK", chunk_words):
                 formats.write_dataset_binary(dataset, path)
             with open(path, "rb") as handle:
                 assert handle.read() == reference_dataset_bytes(dataset)
@@ -289,7 +321,7 @@ class TestDatasetFiles:
         path = tmp_path / "d.dept"
         formats.write_dataset_binary(TokenizedDataset.from_flat(tokens, offsets, 30_000), path)
         body_words = tokens.size + lengths.size
-        monkeypatch.setattr(formats, "_CHUNK_WORDS", 1 << 14)
+        monkeypatch.setattr(vocab, "_BLOCK", 1 << 14)
         tracemalloc.start()
         try:
             read = formats.read_dataset_binary(path)
@@ -703,25 +735,45 @@ _ID_LISTS = st.one_of(
 )
 
 
+# Ids per piece are _BLOCK // 16: one at blocks 1 to 7, several at 100, and the whole list at the default.
+_JSON_BLOCKS = st.sampled_from([1, 2, 3, 7, 100, vocab._BLOCK])
+
+
 class TestIdListJson:
-    """``write_json`` and ``remap_to_json`` list ids from a fixed pattern, with ``json.dumps(indent=2)``'s bytes."""
+    """``write_json`` and ``remap_to_json`` list ids from a fixed pattern, with ``json.dumps(indent=2)``'s bytes,
+    in pieces of any size."""
 
     @given(head=st.dictionaries(st.text(max_size=5).filter(lambda key: key != "ids"),
                                 st.integers() | st.text(max_size=5) | st.none(), max_size=3),
-           ids=_ID_LISTS, rows=st.integers(1, 3))
-    def test_bytes_are_json_dumps_indent_2(self, head, ids, rows):
+           ids=_ID_LISTS, rows=st.integers(1, 3), block=_JSON_BLOCKS)
+    def test_bytes_are_json_dumps_indent_2(self, head, ids, rows, block):
         flat = np.array(ids, dtype=np.uint32)
         grid = np.array(ids[:len(ids) // rows * rows], dtype=np.int64).reshape(-1, rows)
         for array in (flat, grid):
             obj = {**head, "ids": array}
             expected = json.dumps({**head, "ids": array.tolist()}, indent=2) + "\n"
-            assert formats._dumps_ids_last(obj) == expected
+            with mock.patch.object(vocab, "_BLOCK", block):
+                assert formats._dumps_ids_last(obj) == expected
 
-    @given(ids=_ID_LISTS)
-    def test_write_json(self, tmp_path_factory, ids):
+    @given(ids=_ID_LISTS, block=_JSON_BLOCKS)
+    def test_write_json(self, tmp_path_factory, ids, block):
         path = tmp_path_factory.mktemp("json") / "stats.json"
-        formats.write_json({"vocab_size": 7, "unused_tokens": np.array(ids, dtype=np.int64)}, path)
-        assert path.read_text() == json.dumps({"vocab_size": 7, "unused_tokens": ids}, indent=2) + "\n"
+        with mock.patch.object(vocab, "_BLOCK", block):
+            formats.write_json({"vocab_size": 7, "unused_tokens": np.array(ids, dtype=np.int64)}, path)
+        assert path.read_bytes() == (json.dumps({"vocab_size": 7, "unused_tokens": ids}, indent=2) + "\n").encode()
+
+    @given(ids=_ID_LISTS, block=_JSON_BLOCKS)
+    def test_write_remap(self, tmp_path_factory, ids, block):
+        inverse = sorted(set(ids), reverse=True)
+        remap = RemapTable(max(ids, default=0) + 1, inverse, RemapOrdering.FREQUENCY_DESCENDING, inverse[:1])
+        path = tmp_path_factory.mktemp("json") / "remap.json"
+        with mock.patch.object(vocab, "_BLOCK", block):
+            formats.write_remap(remap, path)
+            assert formats.remap_to_json(remap) == path.read_text()
+        expected = json.dumps({"original_vocab_size": remap.original_vocab_size, "ordering": "frequency_descending",
+                               "keep_tokens": inverse[:1], "pairs": [[original, dense] for dense, original
+                                                                     in enumerate(inverse)]}, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()
 
 
 class TestReportAndCurveFiles:
@@ -747,7 +799,7 @@ class TestReportAndCurveFiles:
         for dn, du in steps:
             n, u = n + dn, min(u + du, n + dn, vocab_size)
             points.append((n, u))
-        with tempfile.TemporaryDirectory() as work, mock.patch.object(formats, "_CHUNK_WORDS", chunk_words):
+        with tempfile.TemporaryDirectory() as work, mock.patch.object(vocab, "_BLOCK", chunk_words):
             path = os.path.join(work, "growth.csv")
             formats.write_growth_csv(GrowthCurve(points, vocab_size), path)
             with open(path, "rb") as handle:

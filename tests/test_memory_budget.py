@@ -1,11 +1,12 @@
 """Peak allocation of each subcommand against a budget written in README's terms.
 
 Each budget is built from the sizes README's memory paragraphs name: ``4N``
-bytes for ``N`` token ids, ``S`` sequences, ``V`` vocabulary ids, ``T``
-bytes of a text dataset and ``R x d`` kept rows of 32-bit reals, plus a
-fixed allowance for bounded chunk temporaries. The chunks are scaled down
-to 16 Ki words (or text bytes), as in ``test_reader_holds_the_ids_once``,
-so that a per-token term is not hidden under a 1 Mi-word chunk.
+bytes for ``N`` token ids, ``S`` sequences, ``V`` vocabulary ids and
+``R x d`` kept rows of 32-bit reals, plus a fixed allowance for the
+temporaries of one block. The block is scaled down to 16 Ki units (ids,
+ids and sequences, or text bytes), as in ``test_reader_holds_the_ids_once``,
+so that a per-token term is not hidden under a full-size block; a second
+test checks that a larger block adds only a few blocks' worth to a peak.
 ``tracemalloc`` sees numpy's buffers but not the interpreter and its
 imports, which are already loaded when a run starts.
 """
@@ -25,21 +26,23 @@ _MIB = 2**20
 _CHUNK = 1 << 14
 
 # Peak bytes allowed, with the peak measured at the time in brackets:
-#   analyze: the ids once, offsets and the length-word walk, counts, seen mask, unused ids   (10.5 MiB)
+#   analyze: the ids once with the length words behind them, offsets turned in place from the
+#            length-word walk, counts, seen mask, one block's temporaries; offsets made beside
+#            the walk's positions, with 1 Mi-word chunks scaled down alike, peaked at 10.3 MiB    (8.8 MiB)
 #   prune:   the ids once or the kept rows, never both, with offsets, counts and the
-#            dense-id table; holding the ids and a remapped copy peaked at 16.2 MiB         (9.0 MiB)
-#   prune of a .txt dataset: the text reader holds the file's T bytes and the ids once, with
-#            offsets and one chunk's temporaries; a per-line parse into int64 arrays, joined
-#            and then cast, peaked at 34.7 MiB                                                  (18.8 MiB)
-#   analyze of a .txt dataset: the same reader, which sets its peak too                        (18.8 MiB)
+#            dense-id table; holding the ids and a remapped copy peaked at 16.2 MiB         (8.6 MiB)
+#   prune of a .txt dataset: the text reader reads the file in blocks twice and holds only the ids,
+#            offsets and one block's temporaries; holding the file's T = 10.8 MiB of bytes
+#            peaked at 18.8 MiB, and a per-line parse into int64 arrays at 34.7 MiB                (8.9 MiB)
+#   analyze of a .txt dataset: the same reader, which holds no more than a binary read          (8.7 MiB)
 #   analyze --checkpoints all: the ids, and per token one curve point (two int64s) with the temporaries
 #            of checking it and of the Heaps fit, about 81 bytes; a Python tuple per point took ~300   (162.8 MiB)
 #   restore: the learned rows, plus the remap's JSON pairs as Python objects                  (5.3 MiB)
 _BUDGETS = {
-    "analyze": lambda c: 4 * c.N + 32 * c.S + 32 * c.V + 1.5 * _MIB,
-    "prune": lambda c: max(4 * c.N, 4 * c.R * c.d) + 24 * c.S + 24 * c.V + 0.5 * _MIB,
-    "prune-text": lambda c: c.T + 4 * c.N + 16 * c.S + 0.75 * _MIB,
-    "analyze-text": lambda c: c.T + 4 * c.N + 16 * c.S + 0.75 * _MIB,
+    "analyze": lambda c: 4 * c.N + 16 * c.S + 24 * c.V + 0.5 * _MIB,
+    "prune": lambda c: max(4 * c.N, 4 * c.R * c.d) + 16 * c.S + 24 * c.V + 0.25 * _MIB,
+    "prune-text": lambda c: 4 * c.N + 16 * c.S + 24 * c.V + 0.5 * _MIB,
+    "analyze-text": lambda c: 4 * c.N + 16 * c.S + 24 * c.V + 0.5 * _MIB,
     "analyze-all": lambda c: 4 * c.N + 84 * c.N + 32 * c.S + 32 * c.V + 1.5 * _MIB,
     "restore": lambda c: 4 * c.R * c.d + 128 * c.R + 1.25 * _MIB,
 }
@@ -47,7 +50,7 @@ _BUDGETS = {
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    """2.0 M tokens in 30 000 sequences over V = 30 522 with 40% of ids used (T = 11.3 MB as text),
+    """2.0 M tokens in 30 000 sequences over V = 30 522 with 40% of ids used (11.3 MB as text),
     a d = 64 matrix, and one pruned run."""
     work = tmp_path_factory.mktemp("budget")
     rng = np.random.default_rng(7)
@@ -62,7 +65,6 @@ def corpus(tmp_path_factory):
     dataset = TokenizedDataset.from_flat(tokens, offsets, sizes.V)
     formats.write_dataset(dataset, work / "dataset.dept")
     formats.write_dataset(dataset, work / "dataset.txt")
-    sizes.T = (work / "dataset.txt").stat().st_size
     matrix = EmbeddingMatrix(rng.standard_normal((sizes.V, sizes.d)).astype(np.float32))
     formats.write_embeddings(matrix, work / "embeddings.depe")
     argv = {
@@ -83,17 +85,37 @@ def _run(*argv) -> int:
         return main([str(a) for a in argv])
 
 
-@pytest.mark.parametrize("name", list(_BUDGETS))
-def test_peak_allocation_within_budget(corpus, monkeypatch, name):
-    work, sizes, argv = corpus
-    monkeypatch.setattr(formats, "_CHUNK_WORDS", _CHUNK)
-    monkeypatch.setattr(vocab, "_COUNT_CHUNK", _CHUNK)
+def _peak(corpus, monkeypatch, name: str, block: int) -> int:
+    """The ``tracemalloc`` peak of one run with blocks of ``block`` units."""
+    work, _, argv = corpus
+    monkeypatch.setattr(vocab, "_BLOCK", block)
     tracemalloc.start()
     try:
-        code = _run(*argv[name], "--out", work / name)
+        code = _run(*argv[name], "--out", work / f"{name}-{block}", "--force")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    budget = _BUDGETS[name](sizes)
+    return peak
+
+
+@pytest.mark.parametrize("name", list(_BUDGETS))
+def test_peak_allocation_within_budget(corpus, monkeypatch, name):
+    peak, budget = _peak(corpus, monkeypatch, name, _CHUNK), _BUDGETS[name](corpus[1])
     assert peak <= budget, f"{name} peaked at {peak / _MIB:.2f} MiB, budget {budget / _MIB:.2f} MiB"
+
+
+# Bytes one unit of a block may add to a peak: six int64 words. The most any pass holds per unit is the text
+# writer's, about 36 bytes per id of a chunk (the digit grid, each id's byte offset, the digits left to write).
+# From 16 Ki to 64 Ki units the peaks grew by 0.80 (analyze), 0.37 (prune), 1.76 (prune of a .txt) and
+# 0.80 MiB (analyze of a .txt).
+_PER_BLOCK_UNIT = 48
+
+
+@pytest.mark.parametrize("name", ["analyze", "prune", "prune-text", "analyze-text"])
+def test_peak_grows_by_a_few_blocks(corpus, monkeypatch, name):
+    """Four times the block adds only what that many more units of one block hold: no pass keeps a temporary
+    per token, or more than one block's."""
+    small, large = (_peak(corpus, monkeypatch, name, block) for block in (_CHUNK, 4 * _CHUNK))
+    assert large - small <= _PER_BLOCK_UNIT * 3 * _CHUNK, (
+        f"{name} peaked at {small / _MIB:.2f} MiB with blocks of {_CHUNK} and {large / _MIB:.2f} MiB with {4 * _CHUNK}")

@@ -74,7 +74,7 @@ class TestMergeFrequencyTables:
     @given(token_datasets(), st.sampled_from([1, 2, 3, 8]), st.sampled_from([1, 2, 3, 7, 1 << 20]))
     def test_scan_parallel_matches_scan(self, dataset, partitions, chunk):
         expected = naive_counts(dataset.to_lists(), dataset.vocab_size)
-        with patch.object(vocab, "_COUNT_CHUNK", chunk):
+        with patch.object(vocab, "_BLOCK", chunk):
             assert scan_dataset_parallel(dataset, partitions) == scan_dataset(dataset)
             assert scan_dataset(dataset).counts.tolist() == expected
 
@@ -277,12 +277,12 @@ class TestApplyRemapInPlace:
     """``apply_remap`` copying or in place, against a naive reference; in place holds the ids once."""
 
     @given(st.one_of(datasets_with_remaps(max_vocab=24), _foreign_remaps()),
-           st.sampled_from([1, 2, 3, 7, vocab._COUNT_CHUNK]))
+           st.sampled_from([1, 2, 3, 7, vocab._BLOCK]))
     def test_matches_copying_remap(self, instance, chunk):
         """Each mode equals a naive per-id reference, so in place matches copying without sharing its check."""
         dataset, remap = instance
         expected = _naive_remap(dataset, remap)
-        with patch.object(vocab, "_COUNT_CHUNK", chunk):
+        with patch.object(vocab, "_BLOCK", chunk):
             assert _remap_outcome(lambda: apply_remap(dataset, remap)) == expected
             assert _remap_outcome(lambda: apply_remap(_handed_over(dataset), remap, in_place=True)) == expected
 
@@ -313,7 +313,7 @@ class TestApplyRemapInPlace:
 
     def test_unmapped_id_reports_the_original_id_after_earlier_slices_were_written(self):
         dataset = TokenizedDataset(([1, 3], [1, 2, 3]), 4)
-        with patch.object(vocab, "_COUNT_CHUNK", 2), pytest.raises(UnmappedToken) as err:
+        with patch.object(vocab, "_BLOCK", 2), pytest.raises(UnmappedToken) as err:
             apply_remap(dataset, RemapTable(4, [1, 3]), in_place=True)
         assert (err.value.sequence_index, err.value.position, err.value.token_id) == (1, 1, 2)
 
