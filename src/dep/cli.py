@@ -184,8 +184,8 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
 
 def cmd_restore(args: argparse.Namespace) -> int:
-    original = formats.open_embeddings(args.embeddings)  # a file: only the learned rows are loaded
-    learned = formats.read_embeddings(args.learned)
+    original = formats.open_embeddings(args.embeddings)  # files: one piece of learned rows is held at a time
+    learned = formats.open_embeddings(args.learned)
     remap = formats.read_remap(args.remap)
     if remap.original_vocab_size != original.rows:
         raise RemapInconsistent(
@@ -193,7 +193,7 @@ def cmd_restore(args: argparse.Namespace) -> int:
             f"matrix has {original.rows} rows"
         )
     restored = restore_embeddings(original, learned, remap)
-    _write_outputs(args, {"restored_embeddings.depe": (formats.write_embeddings, restored)})
+    _write_outputs(args, {"restored_embeddings.depe": (formats.write_patch, restored)})
     print(f"restored {learned.rows} learned rows into {original.rows}-row matrix")
     return EXIT_OK
 

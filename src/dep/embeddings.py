@@ -63,11 +63,11 @@ class EmbeddingFile:
 
 @dataclass(frozen=True, eq=False)
 class RowPatch:
-    """The file ``base`` with row ``ids[j]`` replaced by ``data[j]``, as :func:`restore_embeddings` returns it."""
+    """``base`` with row ``ids[j]`` replaced by ``learned`` row ``j``; each is a matrix or a file."""
 
-    base: EmbeddingFile
+    base: EmbeddingMatrix | EmbeddingFile
     ids: np.ndarray
-    data: np.ndarray
+    learned: EmbeddingMatrix | EmbeddingFile
 
 
 def prune_embeddings(matrix: EmbeddingMatrix | EmbeddingFile, remap: RemapTable) -> EmbeddingMatrix:
@@ -94,16 +94,15 @@ def prune_embeddings(matrix: EmbeddingMatrix | EmbeddingFile, remap: RemapTable)
 
 
 def restore_embeddings(
-    original: EmbeddingMatrix | EmbeddingFile, learned: EmbeddingMatrix, remap: RemapTable
+    original: EmbeddingMatrix | EmbeddingFile, learned: EmbeddingMatrix | EmbeddingFile, remap: RemapTable
 ) -> EmbeddingMatrix | RowPatch:
     """Scatter learned rows back to their original positions.
 
     Row ``inverse[j]`` of the result equals learned row ``j``; every row
     outside the remap domain equals the original bit-for-bit, keeping the
     model usable for vocabulary the pruned run never saw. An
-    :class:`EmbeddingFile` original gives a :class:`RowPatch` that
-    ``formats.write_embeddings`` writes as a copy of that file with the
-    learned rows written over it; neither is copied in memory.
+    :class:`EmbeddingFile` on either side gives a :class:`RowPatch`, which
+    ``formats.write_embeddings`` writes without holding either file whole.
     """
     if original.rows != remap.original_vocab_size:
         raise ShapeMismatch(
@@ -116,8 +115,8 @@ def restore_embeddings(
         )
     if original.dim != learned.dim:
         raise ShapeMismatch(f"dim mismatch: original {original.dim}, learned {learned.dim}")
-    if isinstance(original, EmbeddingFile):
-        return RowPatch(original, remap.inverse, learned.data)
+    if isinstance(original, EmbeddingFile) or isinstance(learned, EmbeddingFile):
+        return RowPatch(original, remap.inverse, learned)
     out = original.data.copy()
     out[remap.inverse] = learned.data
     return EmbeddingMatrix(out)

@@ -126,11 +126,6 @@ def _write_container(path, header: struct.Struct, magic: bytes, fields, chunks) 
         handle.writelines(map(memoryview, chunks))  # drops each chunk before making the next
 
 
-def _read_bytes(path) -> bytes:
-    with _open(path) as handle:
-        return handle.read()
-
-
 def _decode_utf8(data: bytes, what: str, at: int = 0) -> str:
     """``data`` decoded; bytes that are not UTF-8 are :class:`FormatError` with ``UnicodeDecodeError``'s message,
     its positions counted from ``at``, where ``data`` starts in its file."""
@@ -144,8 +139,10 @@ def _decode_utf8(data: bytes, what: str, at: int = 0) -> str:
 
 
 def _read_json_object(path, what: str) -> dict:
+    with _open(path) as handle:
+        data = handle.read()
     try:
-        obj = json.loads(_decode_utf8(_read_bytes(path), what))
+        obj = json.loads(_decode_utf8(data, what))
     except (ValueError, RecursionError) as err:  # RecursionError: nesting deeper than the parser's stack
         raise FormatError(f"{what} is not valid JSON: {err}") from None
     if not isinstance(obj, dict):
@@ -423,43 +420,47 @@ def read_dataset(path, vocab_size: int | None = None) -> TokenizedDataset:
     return dataset
 
 
-def write_embeddings(matrix: EmbeddingMatrix | RowPatch, path) -> None:
-    """Write a matrix, or a :class:`RowPatch` as a copy of its base file with the patch rows written over it."""
+def write_embeddings(matrix: EmbeddingMatrix | EmbeddingFile | RowPatch, path) -> None:
+    """Write a matrix, a :class:`RowPatch` by :func:`write_patch`, or a copy of an :class:`EmbeddingFile`."""
     if isinstance(matrix, RowPatch):
-        _write_patch(matrix, path)
+        write_patch(matrix, path)
         return
     fields = (DTYPE_FLOAT32, matrix.rows, matrix.dim)
-    payload = np.ascontiguousarray(matrix.data, dtype="<f4")
-    _write_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, fields, [payload])
-
-
-def _write_patch(patch: RowPatch, path) -> None:
-    base = patch.base
-    header = _EMBEDDINGS_HEADER.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, base.rows, base.dim)
-    row_bytes = 4 * base.dim
+    if isinstance(matrix, EmbeddingMatrix):
+        payload = np.ascontiguousarray(matrix.data, dtype="<f4")
+        _write_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, fields, [payload])
+        return
+    header = _EMBEDDINGS_HEADER.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION, *fields)
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        for source in _opened(base.path):  # an in-kernel copy; its OS errors are the output's
+        with _open(matrix.path) as handle:  # a file that cannot be opened is the input's error
+            source = open(os.dup(handle.fileno()), "rb")
+        with source:  # but the copy's OS errors are the output's
             while os.sendfile(fd, source.fileno(), None, _COPY_CALL_BYTES):
                 pass
-        if os.fstat(fd).st_size != len(header) + base.rows * row_bytes or os.pread(fd, len(header), 0) != header:
-            raise FormatError(f"embedding matrix {base.path} changed after it was validated")
-        data = np.ascontiguousarray(patch.data, dtype="<f4")
-        # One write per run of dense ids whose original ids are consecutive too.
-        for start, stop in _runs(patch.ids):
-            _transfer(os.pwrite, fd, data[start:stop], len(header) + patch.ids.item(start) * row_bytes, base.path)
+        if os.fstat(fd).st_size != len(header) + 4 * matrix.rows * matrix.dim or os.pread(fd, len(header), 0) != header:
+            raise FormatError(f"embedding matrix {matrix.path} changed after it was validated")
     finally:
         os.close(fd)
 
 
-def _opened(path):
-    """An input opened by ``_open``, as a one-item loop.
-
-    An input that cannot be opened is :class:`MissingInput`, but OS errors
-    in the loop body do not pass through ``_open``: they stay the caller's.
-    """
-    with _open(path) as handle:
-        yield handle
+def write_patch(patch: RowPatch, path) -> None:
+    """Write ``patch.base`` with :func:`write_embeddings`, then the learned rows over it one piece of at most one block
+    of values at a time, one write per run of consecutive original ids. Each piece of a learned file is read by
+    :func:`read_embeddings`, outside ``write_embeddings``, and after the last the file must be as validated."""
+    write_embeddings(patch.base, path)
+    learned, row_bytes = patch.learned, 4 * patch.base.dim
+    step = max(1, vocab._BLOCK // learned.dim)
+    with open(path, "r+b") as out:
+        for start in range(0, learned.rows, step):
+            stop = min(start + step, learned.rows)
+            piece = (read_embeddings(learned.path, rows=np.arange(start, stop)).data
+                     if isinstance(learned, EmbeddingFile) else learned.data[start:stop])
+            piece, ids = np.ascontiguousarray(piece, dtype="<f4"), patch.ids[start:stop]
+            for i, j in _runs(ids):
+                _transfer(os.pwrite, out.fileno(), piece[i:j], _EMBEDDINGS_HEADER.size + ids.item(i) * row_bytes, path)
+    if isinstance(learned, EmbeddingFile) and open_embeddings(learned.path) != learned:
+        raise FormatError(f"embedding matrix {learned.path} changed after it was validated")
 
 
 def _runs(ids: np.ndarray) -> list[tuple[int, int]]:

@@ -34,7 +34,7 @@ from dep import (
     restore_embeddings,
     scan_dataset,
 )
-from dep import cli
+from dep import cli, vocab
 from dep.cli import main
 
 from _strategies import float32_matrices, token_datasets
@@ -922,6 +922,84 @@ class TestStreamedRestore:
         err = capsys.readouterr().err
         assert _ERROR_LINE.fullmatch(err) and err.startswith("UNWRITABLE_OUTPUT: ") and str(out) in err
         assert _listing(out) == {}
+
+    @pytest.mark.parametrize("piece_rows", [1, 2, 3, 7, None], ids=["1", "2", "3", "7", "whole"])
+    @settings(max_examples=40, deadline=None)
+    @given(inputs=_restore_inputs())
+    def test_learned_rows_in_pieces_match_in_memory_restore(self, tmp_path_factory, piece_rows, inputs):
+        """With a block of ``dim * k`` values, ``restore`` reads the learned file in pieces of ``k`` rows, the last
+        shorter, and writes the in-memory result's bytes; the library writes the same from either side as a file."""
+        original, learned, remap = inputs
+        k = piece_rows or max(1, learned.rows)  # None: the whole matrix is one piece
+        work = tmp_path_factory.mktemp("pieces")
+        paths = {name: work / f"{name}.depe" for name in ("original", "learned", "expected", "copy", "from_matrix")}
+        formats.write_embeddings(original, paths["original"])
+        formats.write_embeddings(learned, paths["learned"])
+        formats.write_remap(remap, work / "remap.json")
+        formats.write_embeddings(restore_embeddings(original, learned, remap), paths["expected"])
+        pieces = []
+
+        def read_piece(path, rows=None, _read=formats.read_embeddings):
+            pieces.append(len(rows))
+            return _read(path, rows=rows)
+
+        with mock.patch.object(vocab, "_BLOCK", learned.dim * k), \
+                mock.patch.object(formats, "read_embeddings", side_effect=read_piece):
+            code, err = _run_quiet("restore", "--embeddings", paths["original"], "--learned", paths["learned"],
+                                   "--remap", work / "remap.json", "--out", work / "out")
+            learned_file = formats.open_embeddings(paths["learned"])
+            formats.write_embeddings(restore_embeddings(original, learned_file, remap), paths["from_matrix"])
+        assert (code, err) == (0, "")
+        assert pieces == ([k] * (learned.rows // k) + [learned.rows % k] * bool(learned.rows % k)) * 2  # CLI, library
+        expected = paths["expected"].read_bytes()
+        assert (work / "out" / "restored_embeddings.depe").read_bytes() == expected
+        assert paths["from_matrix"].read_bytes() == expected
+        formats.write_embeddings(formats.open_embeddings(paths["original"]), paths["copy"])
+        assert paths["copy"].read_bytes() == paths["original"].read_bytes()
+
+    @pytest.fixture()
+    def learned_run(self, workspace):
+        """A finished restore of 8 x 2 learned rows through a permuted remap of all 8 ids: (argv, learned, out)."""
+        tmp_path = workspace[0]
+        rng = np.random.default_rng(43)
+        learned_path, remap_path, out = tmp_path / "learned.depe", tmp_path / "remap.json", tmp_path / "restored"
+        formats.write_embeddings(EmbeddingMatrix(rng.standard_normal((8, 2)).astype(np.float32)), learned_path)
+        formats.write_remap(RemapTable(8, rng.permutation(8)), remap_path)
+        argv = ["restore", "--embeddings", workspace[4], "--learned", learned_path, "--remap", remap_path,
+                "--out", out, "--force"]
+        assert run(*argv) == 0
+        return argv, learned_path, out
+
+    @pytest.mark.parametrize("change, code, error", _CHANGES_AFTER_VALIDATION)
+    def test_learned_changed_after_validation_keeps_previous_set(self, learned_run, capsys, monkeypatch,
+                                                                 change, code, error):
+        argv, learned, out = learned_run
+        before = _listing(out)
+        capsys.readouterr()
+
+        def change_learned(path):
+            if path == learned:
+                change(path)
+
+        _change_after_validation(monkeypatch, change_learned)
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert _ERROR_LINE.fullmatch(err) and err.startswith(f"{error}: ")
+        assert _listing(out) == before
+
+    def test_failed_write_of_a_learned_piece_is_the_output_error(self, learned_run, capsys, monkeypatch):
+        argv, _, out = learned_run
+        before = _listing(out)
+        capsys.readouterr()
+
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "pwrite", disk_full)
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert _ERROR_LINE.fullmatch(err) and err.startswith("UNWRITABLE_OUTPUT: ") and str(out) in err
+        assert _listing(out) == before
 
 
 @st.composite
