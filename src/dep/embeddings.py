@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatch
+from .errors import ShapeMismatch
 from .vocab import RemapTable, _read_only
 
 STORAGE_DTYPE = np.float32  # v1 stores 32-bit reals; the file format carries a dtype code
@@ -88,7 +88,7 @@ def prune_embeddings(matrix: EmbeddingMatrix | EmbeddingFile, remap: RemapTable)
         pruned = formats.read_embeddings(matrix.path, rows=remap.inverse)
         # The rows are checked against the file as it is now; it must still be the validated matrix.
         if formats.open_embeddings(matrix.path) != matrix:
-            raise FormatError(f"embedding matrix {matrix.path} changed after it was validated")
+            raise formats._changed(matrix.path)
         return pruned
     return EmbeddingMatrix(matrix.data[remap.inverse])
 

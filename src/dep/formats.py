@@ -50,6 +50,8 @@ bytes, and write a trailing list of ids in pieces of about one block.
 Every reader opens its input through ``_open``, so an input that cannot be
 opened or read, or is not a regular file, is :class:`MissingInput`; text
 that is not UTF-8 or not the expected JSON object is :class:`FormatError`.
+``_write`` is the one sequential writer; the ``DEPE`` copy in
+:func:`write_embeddings` and :func:`write_patch` write at file positions.
 """
 
 from __future__ import annotations
@@ -120,10 +122,13 @@ def _read_header(handle, header: struct.Struct, magic: bytes) -> tuple[tuple, in
     return tuple(fields), body_bytes // 4
 
 
-def _write_container(path, header: struct.Struct, magic: bytes, fields, chunks) -> None:
+def _write(path, chunks) -> None:
     with open(path, "wb") as handle:
-        handle.write(header.pack(magic, FORMAT_VERSION, *fields))
         handle.writelines(map(memoryview, chunks))  # drops each chunk before making the next
+
+
+def _changed(path) -> FormatError:
+    return FormatError(f"embedding matrix {path} changed after it was validated")
 
 
 def _decode_utf8(data: bytes, what: str, at: int = 0) -> str:
@@ -174,8 +179,8 @@ def is_text_dataset(path) -> bool:
 
 
 def write_dataset_binary(dataset: TokenizedDataset, path) -> None:
-    fields = (dataset.vocab_size, dataset.num_sequences)
-    _write_container(path, _DATASET_HEADER, DATASET_MAGIC, fields, _v1_body_chunks(dataset))
+    header = _DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, dataset.vocab_size, dataset.num_sequences)
+    _write(path, chain([header], _v1_body_chunks(dataset)))
 
 
 def _v1_body_chunks(dataset: TokenizedDataset):
@@ -237,15 +242,14 @@ def read_dataset_binary(path) -> TokenizedDataset:
 
 
 def write_dataset_text(dataset: TokenizedDataset, path) -> None:
-    with open(path, "wb") as handle:
-        handle.writelines(_text_chunks(dataset.tokens, dataset.offsets, ord(" ")))
+    _write(path, _text_chunks(dataset.tokens, dataset.offsets, ord(" ")))
 
 
 def _text_chunks(tokens: np.ndarray, offsets: np.ndarray, sep: int):
     """Lines ``tokens[offsets[i]:offsets[i + 1]]`` of decimal ids joined by the byte ``sep``, as uint8 arrays.
 
     Each array is one chunk of whole lines, filled from its ids' place values: at most one block of ids and
-    lines, so at most ``_ID_DIGITS + 1`` bytes per unit, unless one line alone is longer.
+    lines, so at most 11 bytes per unit (a u32 id's 10 digits and a separator), unless one line alone is longer.
     """
     for i, j in _chunk_spans(offsets):
         ids, bounds = tokens[offsets[i]:offsets[j]], offsets[i:j + 1] - offsets[i]
@@ -281,7 +285,6 @@ _SPLIT_ON = bytes(b for b in range(128) if chr(b).isspace())
 _BYTE_CLASS = bytes(ord("d" if b in b"0123456789" else " " if b in _SPLIT_ON else "-" if b == ord("-")
                         else "!" if b >= 128 or b in b"+_" else "?") for b in range(256))
 _TO_SPACE = bytes(ord(" ") if b in _SPLIT_ON else b for b in range(256))
-_ID_DIGITS = 10  # of 2**32 - 1, the widest id the writer sizes a chunk for
 _LONG_RUN = b"d" * 19  # a run of fewer digits always fits int64
 _LONG_ID = re.compile(rb"-?d{19,}")
 _BAD_FIELD = re.compile(rb"\?|-(?!d)|d-")  # a field is -?d+: no other byte, and a "-" only just before a digit
@@ -316,8 +319,15 @@ def _scan_lines(lines: bytes) -> tuple[int, int, int]:
     if not any(mark in classes for mark in (b"?", b"!", b"-", _LONG_RUN)):  # only whitespace and short ids
         return count, -1, -1
     bad = [m.start() for m in [_BAD_FIELD.search(classes)] if m]
-    bad += [m.start() for m in _LONG_ID.finditer(classes) if not -2**63 <= int(lines[m.start():m.end()]) < 2**63]
+    bad += [m.start() for m in _LONG_ID.finditer(classes) if not _fits_int64(lines[m.start():m.end()])]
     return count, classes.find(b"!"), min(bad, default=-1)
+
+
+def _fits_int64(field: bytes) -> bool:
+    try:
+        return -2**63 <= int(field) < 2**63
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        return False
 
 
 def _parse_ids(lines: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -425,23 +435,19 @@ def write_embeddings(matrix: EmbeddingMatrix | EmbeddingFile | RowPatch, path) -
     if isinstance(matrix, RowPatch):
         write_patch(matrix, path)
         return
-    fields = (DTYPE_FLOAT32, matrix.rows, matrix.dim)
+    header = _EMBEDDINGS_HEADER.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, matrix.rows, matrix.dim)
     if isinstance(matrix, EmbeddingMatrix):
-        payload = np.ascontiguousarray(matrix.data, dtype="<f4")
-        _write_container(path, _EMBEDDINGS_HEADER, EMBEDDINGS_MAGIC, fields, [payload])
+        _write(path, [header, np.ascontiguousarray(matrix.data, dtype="<f4")])
         return
-    header = _EMBEDDINGS_HEADER.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION, *fields)
-    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
+    with open(path, "w+b") as out:
+        fd = out.fileno()
         with _open(matrix.path) as handle:  # a file that cannot be opened is the input's error
             source = open(os.dup(handle.fileno()), "rb")
         with source:  # but the copy's OS errors are the output's
             while os.sendfile(fd, source.fileno(), None, _COPY_CALL_BYTES):
                 pass
         if os.fstat(fd).st_size != len(header) + 4 * matrix.rows * matrix.dim or os.pread(fd, len(header), 0) != header:
-            raise FormatError(f"embedding matrix {matrix.path} changed after it was validated")
-    finally:
-        os.close(fd)
+            raise _changed(matrix.path)
 
 
 def write_patch(patch: RowPatch, path) -> None:
@@ -460,7 +466,7 @@ def write_patch(patch: RowPatch, path) -> None:
             for i, j in _runs(ids):
                 _transfer(os.pwrite, out.fileno(), piece[i:j], _EMBEDDINGS_HEADER.size + ids.item(i) * row_bytes, path)
     if isinstance(learned, EmbeddingFile) and open_embeddings(learned.path) != learned:
-        raise FormatError(f"embedding matrix {learned.path} changed after it was validated")
+        raise _changed(learned.path)
 
 
 def _runs(ids: np.ndarray) -> list[tuple[int, int]]:
@@ -480,7 +486,7 @@ def _transfer(call, fd: int, rows: np.ndarray, offset: int, path) -> None:
     while view:  # a single read(2) or write(2) stops short of 2 GiB
         moved = call(fd, view, offset)
         if moved == 0:
-            raise FormatError(f"embedding matrix {path} changed after it was validated")
+            raise _changed(path)
         view, offset = view[moved:], offset + moved
 
 
@@ -561,11 +567,6 @@ def _dumps_ids_last(obj: dict) -> str:
     return "".join(_json_pieces(obj))
 
 
-def _write_pieces(path, pieces) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(pieces)
-
-
 def _remap_fields(remap: RemapTable) -> dict:
     return {
         "original_vocab_size": remap.original_vocab_size,
@@ -580,7 +581,7 @@ def remap_to_json(remap: RemapTable) -> str:
 
 
 def write_remap(remap: RemapTable, path) -> None:
-    _write_pieces(path, _json_pieces(_remap_fields(remap)))
+    _write(path, map(str.encode, _json_pieces(_remap_fields(remap))))
 
 
 def read_remap(path) -> RemapTable:
@@ -621,19 +622,17 @@ def report_to_json(report: PruneReport) -> str:
 
 
 def write_report(report: PruneReport, path) -> None:
-    Path(path).write_text(report_to_json(report), encoding="utf-8")
+    _write(path, [report_to_json(report).encode()])
 
 
 def write_growth_csv(curve: GrowthCurve, path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(b"tokens,unique\n")
-        values = np.column_stack((curve.tokens, curve.unique)).ravel()
-        handle.writelines(_text_chunks(values, np.arange(0, values.size + 1, 2), ord(",")))
+    values = np.column_stack((curve.tokens, curve.unique)).ravel()
+    _write(path, chain([b"tokens,unique\n"], _text_chunks(values, np.arange(0, values.size + 1, 2), ord(","))))
 
 
 def write_json(obj: dict, path) -> None:
     """``obj`` as ``json.dumps(obj, indent=2)`` and a newline; its last value is an integer array, written as a list."""
-    _write_pieces(path, _json_pieces(obj))
+    _write(path, map(str.encode, _json_pieces(obj)))
 
 
 _CONFIG_REQUIRED = ("vocab_size", "d_model", "num_layers", "num_heads")

@@ -619,6 +619,9 @@ class TestInputBoundary:
                      id="past-int64-with-vocab-size"),
         pytest.param("1 2\n\n9 4294967296\n", [], "OUT_OF_RANGE_TOKEN: token id 4294967296 at sequence 2, "
                      "position 1 is out of range for vocab_size 4294967296", id="past-u32"),
+        *[pytest.param(f"1 2\n{field}\n", [], "BAD_FORMAT: line 2: ", id=name) for field, name in [
+            ("9" * 5000, "past-int-max-str-digits"), ("0" * 5000 + "7", "zeros-past-int-max-str-digits"),
+            ("-" + "0" * 5000 + "1", "negative-zeros-past-int-max-str-digits")]],
     ])
     def test_huge_text_id_exits_2_with_location(self, tmp_path, capsys, text, vocab, expected):
         path = tmp_path / "x.txt"

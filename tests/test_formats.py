@@ -175,6 +175,9 @@ class TestDatasetFiles:
     @example(b"1 22 333 4444\n5 x\n6\n", None, 3)  # a line longer than a block, then a bad field
     @example(b"1 2\n\n3 44", None, 2)  # no newline at the end, in a later block than the first
     @example(b"\n\n\n", None, 1)  # only newlines: three empty sequences
+    @example(b"1 2\n" + b"9" * 5000 + b"\n", None, vocab._BLOCK)  # more digits than int() converts
+    @example(b"1 2\n" + b"0" * 5000 + b"7\n", None, vocab._BLOCK)  # ... even when its value is small
+    @example(b"1 2\n-" + b"0" * 5000 + b"1\n", None, vocab._BLOCK)
     def test_text_reader_matches_per_line_reference(self, data, vocab_size, chunk_words):
         """The same dataset as the per-line reference, or the same error with the same fields."""
         import tempfile, os
