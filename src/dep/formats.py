@@ -45,7 +45,12 @@ Remaps are JSON objects ``{original_vocab_size, ordering, keep_tokens,
 pairs}`` with ``pairs`` as ``[original_id, dense_id]`` sorted by dense id;
 JSON keeps them auditable and they hold at most one pair per vocabulary
 entry. Writers emit a fixed key order so identical inputs give identical
-bytes, and write a trailing list of ids in pieces of about one block.
+bytes, and write a trailing list of ids in pieces of about one block. The
+reader reads a remap whose last key is ``pairs`` one block at a time, cut
+after a ``]``: it checks each block's bytes against the shape of a list of
+pairs of decimal ids and parses it with one ``np.fromstring`` into int64,
+and parses the other keys with ``json.loads``. Any file that check refuses
+is read whole by ``json.loads``, so every JSON layout reads as before.
 
 Every reader opens its input through ``_open``, so an input that cannot be
 opened or read, or is not a regular file, is :class:`MissingInput`; text
@@ -290,22 +295,26 @@ _LONG_ID = re.compile(rb"-?d{19,}")
 _BAD_FIELD = re.compile(rb"\?|-(?!d)|d-")  # a field is -?d+: no other byte, and a "-" only just before a digit
 
 
-def _line_blocks(handle):
+def _line_blocks(handle, end: bytes = b"\n"):
     """``(at, lines)`` of each block of whole lines in the file ``handle``, ``at`` being where it starts.
 
     A block is what was left of the previous read and the next read of one
     block's bytes up to its last newline; a line longer than a read is
     joined once from its pieces. Text after the last newline ends the file.
+    With another ``end`` byte, each block ends with that byte instead.
     """
     handle.seek(0)
     at, rest = 0, []
     while piece := handle.read(vocab._BLOCK):
-        cut = piece.rfind(b"\n") + 1
+        cut = piece.rfind(end) + 1
         if cut:
-            lines = b"".join([*rest, piece[:cut]])
+            lines, rest = b"".join([*rest, memoryview(piece)[:cut]]), [piece[cut:]]
+            del piece  # each block is one copy, and the only one held
             yield at, lines
-            at, rest = at + len(lines), []
-        rest.append(piece[cut:])
+            at += len(lines)
+            del lines
+        else:
+            rest.append(piece)
     if any(rest):
         yield at, b"".join(rest)
 
@@ -324,10 +333,12 @@ def _scan_lines(lines: bytes) -> tuple[int, int, int]:
 
 
 def _fits_int64(field: bytes) -> bool:
-    try:
-        return -2**63 <= int(field) < 2**63
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        return False
+    """Whether the field ``-?d+`` is an int64 by one fixed rule, whatever ``int()``'s digit limit: at most 4300
+    digits after the sign (``int()``'s default limit, leading zeros included), then at most 19 after the leading
+    zeros, then the int64 range."""
+    digits = field.removeprefix(b"-")
+    significant = digits.lstrip(b"0")
+    return len(digits) <= 4300 and len(significant) <= 19 and int(significant or b"0") < 2**63 + (digits != field)
 
 
 def _parse_ids(lines: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -465,6 +476,7 @@ def write_patch(patch: RowPatch, path) -> None:
             piece, ids = np.ascontiguousarray(piece, dtype="<f4"), patch.ids[start:stop]
             for i, j in _runs(ids):
                 _transfer(os.pwrite, out.fileno(), piece[i:j], _EMBEDDINGS_HEADER.size + ids.item(i) * row_bytes, path)
+            del piece  # not held while the next one is read
     if isinstance(learned, EmbeddingFile) and open_embeddings(learned.path) != learned:
         raise _changed(learned.path)
 
@@ -584,9 +596,106 @@ def write_remap(remap: RemapTable, path) -> None:
     _write(path, map(str.encode, _json_pieces(_remap_fields(remap))))
 
 
+# The bytes of a remap's pairs without their JSON whitespace, by class: "d" a digit, "[", "]" and "," themselves,
+# "?" any other byte. Each separator of a valid list reads as one of _PAIR_SEPS, with 128 added where a digit
+# follows it: "," between pairs, then "[", "," and "]" of one pair.
+_JSON_SPACE = b" \t\n\r"
+_PAIR_CLASS = bytes(ord("d") if b in b"0123456789" else b if b in b"[]," else ord("?") for b in range(256))
+_PAIR_SEPS = bytes([ord(","), ord("[") | 128, ord(",") | 128, ord("]")])
+_DIGITS_ONLY = bytes(b if b in b"0123456789" else ord(" ") for b in range(256))
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)
+_PAIRS_KEY = re.compile(rb'"pairs"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
+
+
+def _pair_ids(block: bytes, first: bool) -> tuple[np.ndarray, bool] | None:
+    """The ids of a block of the pairs list ``[[a, b], ...]`` cut after a ``"]"``, flat as ``a, b, ...`` in
+    int64, and whether the block closes the list; None unless each id is a decimal of at most 18 digits with no
+    leading zero and the block is a piece of such a list, starting at its ``"["`` if ``first``."""
+    compact = block.translate(_PAIR_CLASS, _JSON_SPACE)
+    if b"?" in compact or _LONG_RUN in compact:
+        return None
+    classes = np.frombuffer(compact, dtype=np.uint8)
+    digit = classes == ord("d")
+    seps = (classes[:-1] | digit[1:].view(np.uint8) << 7)[~digit[:-1]].tobytes() + b"]"  # a block ends with "]"
+    digits = len(compact) - len(seps)
+    del compact, classes, digit
+    if first:  # the list's own "[" reads as the "," before a pair
+        seps = b"," + seps[1:]
+    last = seps.endswith(b"]]") or seps == b"]"
+    count = (len(seps) - last) // 4
+    if len(seps) != 4 * count + last or seps[:4 * count] != _PAIR_SEPS * count:
+        return None
+    ids = np.fromstring(block.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ") if count else np.empty(0, np.int64)
+    # A digit follows each "[" and "," of a pair; as many runs of digits as those 2 * count means that no id is
+    # anywhere else or split by whitespace, and as many digits as the ids are written with, that none has a
+    # leading zero.
+    if ids.size != 2 * count or digits != ids.size + int(np.searchsorted(_POWERS, ids, side="right").sum()):
+        return None
+    return ids, last
+
+
+def _read_pairs(path) -> tuple[dict, list[np.ndarray]] | None:
+    """A remap file whose last key is ``pairs``, holding a list of pairs that :func:`_pair_ids` takes, read one
+    block at a time: the object as ``json.loads`` reads it but with ``[]`` for ``pairs``, and the ids of each
+    block. None for any other file."""
+    with _open(path) as handle:
+        blocks = (block for _, block in _line_blocks(handle, b"]"))
+        head = []
+        for block in blocks:  # the key holds no "]", so it is never cut
+            if key := _PAIRS_KEY.search(block):
+                head.append(block[:key.end()])
+                block = block[key.end():]
+                break
+            head.append(block)
+        else:
+            return None
+        parts, last = [], False
+        while block.endswith(b"]"):  # until the text after the last "]"
+            read = None if last else _pair_ids(block, not parts)
+            if read is None:
+                return None
+            parts.append(read[0])
+            last = read[1]
+            del block, read  # not held while the next block is read
+            block = next(blocks, b"")
+    if not last:
+        return None
+    tops = []  # the last key and value of each object, the whole file's last
+
+    def last_item(items):
+        tops.append(items[-1:])
+        return dict(items)
+
+    try:
+        obj = json.loads(b"".join([*head, b"[]", block]).decode("utf-8"), object_pairs_hook=last_item)
+    except (ValueError, RecursionError):
+        return None
+    return (obj, parts) if tops[-1] == [("pairs", [])] else None
+
+
+def _inverse(parts: list[np.ndarray]) -> np.ndarray:
+    """``inverse[dense] = original`` of the pairs flat as ``original, dense, ...`` in ``parts``, whose dense ids
+    must cover ``0..n-1`` once each."""
+    size = sum(part.size for part in parts) // 2
+    seen = np.zeros(size, dtype=bool)
+    if all(0 <= int(part[1::2].min()) and int(part[1::2].max()) < size for part in parts if part.size):
+        for part in parts:
+            seen[part[1::2]] = True
+    if not seen.all():
+        raise RemapInconsistent(f"dense ids must cover 0..{size - 1} exactly once")
+    del seen
+    inverse = np.empty(size, dtype=parts[0].dtype if parts else np.int64)
+    for part in parts:
+        inverse[part[1::2]] = part[::2]
+    return inverse
+
+
 def read_remap(path) -> RemapTable:
-    """Malformed JSON raises :class:`FormatError`, non-bijective pairs :class:`RemapInconsistent`."""
-    obj = _read_json_object(path, "remap file")
+    """Malformed JSON raises :class:`FormatError`, non-bijective pairs :class:`RemapInconsistent`.
+
+    A file that :func:`_read_pairs` does not take is read whole by ``json.loads``, with the same errors.
+    """
+    obj, parts = _read_pairs(path) or (_read_json_object(path, "remap file"), None)
     for key in ("original_vocab_size", "ordering", "keep_tokens", "pairs"):
         if key not in obj:
             raise FormatError(f"remap file missing key {key!r}")
@@ -599,18 +708,18 @@ def read_remap(path) -> RemapTable:
     if not _only_ints(keep_tokens):
         raise FormatError("remap keep_tokens must be JSON integers")
     _check_vocab_size(original_vocab_size, "original_vocab_size")
-    try:  # np.asarray([]) has shape (0,), but an empty remap is valid
-        pairs = np.asarray(obj["pairs"]) if obj["pairs"] != [] else np.empty((0, 2), dtype=np.int64)
-    except ValueError:  # ragged
-        pairs = np.empty(0)
-    if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
-            or not _only_ints(chain.from_iterable(obj["pairs"]))):
-        raise FormatError("remap pairs must be a list of [original_id, dense_id] JSON integer pairs")
-    dense = pairs[:, 1]
-    if not np.array_equal(np.sort(dense), np.arange(dense.size)):
-        raise RemapInconsistent(f"dense ids must cover 0..{dense.size - 1} exactly once")
-    inverse = np.empty(dense.size, dtype=pairs.dtype)
-    inverse[dense] = pairs[:, 0]
+    if parts is None:
+        try:  # np.asarray([]) has shape (0,), but an empty remap is valid
+            pairs = np.asarray(obj["pairs"]) if obj["pairs"] != [] else np.empty((0, 2), dtype=np.int64)
+        except ValueError:  # ragged
+            pairs = np.empty(0)
+        if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
+                or not _only_ints(chain.from_iterable(obj["pairs"]))):
+            raise FormatError("remap pairs must be a list of [original_id, dense_id] JSON integer pairs")
+        parts = [pairs.ravel()]
+    del obj
+    inverse = _inverse(parts)
+    del parts
     try:
         return RemapTable(original_vocab_size, inverse, ordering, keep_tokens)
     except ValueError as err:

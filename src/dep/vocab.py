@@ -268,7 +268,11 @@ class RemapTable:
             if repeated.size:
                 raise ValueError(f"id {int(repeated[0])} is mapped twice (mapping must be bijective)")
         keep = tuple(int(t) for t in self.keep_tokens)
-        unmapped = set(keep).difference(arr.tolist() if keep else ())
+        # A keep id inside the vocabulary is looked up in the sorted ids; one outside it is never a mapped id.
+        inside = np.array([t for t in keep if 0 <= t < self.original_vocab_size], dtype=np.int64)
+        mapped = (ids[np.searchsorted(ids, inside).clip(max=ids.size - 1)] == inside if arr.size
+                  else np.zeros(inside.size, dtype=bool))
+        unmapped = [t for t in keep if not 0 <= t < self.original_vocab_size] + inside[~mapped].tolist()
         if unmapped:
             raise ValueError(f"keep token {min(unmapped)} is not a mapped id")
         object.__setattr__(self, "inverse", _read_only(np.ascontiguousarray(arr, dtype=TOKEN_DTYPE)))

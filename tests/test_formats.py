@@ -2,10 +2,14 @@
 
 import json
 import os
+import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -47,9 +51,9 @@ def reference_read_text(data: bytes, vocab_size=None):
 
     Checks run in the reader's order: UTF-8, then the first line with a
     character that is not plain ASCII (or a ``+`` or ``_``), then the first
-    line with a field ``int()`` refuses or one outside int64, then
-    ``vocab_size`` (default max id + 1, capped at 2**32), then the first id
-    outside ``[0, vocab_size)``.
+    line with a field that is not ``-?d+`` or not an int64 by
+    :func:`reference_int64`'s fixed rule, then ``vocab_size`` (default max
+    id + 1, capped at 2**32), then the first id outside ``[0, vocab_size)``.
     """
     try:
         lines = data.decode("utf-8").split("\n")
@@ -64,11 +68,9 @@ def reference_read_text(data: bytes, vocab_size=None):
     rows = []
     for line_no, line in enumerate(lines, start=1):
         try:
-            rows.append([int(field) for field in line.split()])
+            rows.append([reference_int64(field) for field in line.split()])
         except ValueError:
             raise FormatError(not_decimal.format(line_no)) from None
-        if any(not -2**63 <= value < 2**63 for value in rows[-1]):
-            raise FormatError(not_decimal.format(line_no))
     if vocab_size is None:
         vocab_size = min(max([0] + [value + 1 for row in rows for value in row]), 2**32)
     if not 0 <= vocab_size <= 2**32:
@@ -78,6 +80,19 @@ def reference_read_text(data: bytes, vocab_size=None):
             if not 0 <= value < vocab_size:
                 raise OutOfRangeToken(seq, pos, value, vocab_size)
     return TokenizedDataset(rows, vocab_size)
+
+
+def reference_int64(field: str) -> int:
+    """A field ``-?d+`` as an int, by one rule whatever ``PYTHONINTMAXSTRDIGITS`` says: at most 4300 digits after
+    the sign, leading zeros included, then at most 19 after the leading zeros, then the int64 range."""
+    digits = field.removeprefix("-")
+    significant = digits.lstrip("0") or "0"
+    if not (digits.isascii() and digits.isdigit()) or len(digits) > 4300 or len(significant) > 19:
+        raise ValueError(field)
+    value = -int(significant) if digits != field else int(significant)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(field)
+    return value
 
 
 def _outcome(read, source, vocab_size):
@@ -191,6 +206,29 @@ class TestDatasetFiles:
         finally:
             os.unlink(path)
         assert got == _outcome(reference_read_text, data, vocab_size)
+
+    def test_long_ids_read_the_same_whatever_int_max_str_digits(self, tmp_path):
+        """A 5001-digit id is never an int64 and a 700-digit zero-padded one always is, whatever limit
+        ``PYTHONINTMAXSTRDIGITS`` sets on the digits ``int()`` converts."""
+        paths = [tmp_path / "long.txt", tmp_path / "padded.txt"]
+        paths[0].write_bytes(b"1 2\n" + b"0" * 5000 + b"7\n")
+        paths[1].write_bytes(b"0" * 699 + b"7 1\n")
+        code = ("import sys\nfrom dep import FormatError, formats\nfor path in sys.argv[1:]:\n"
+                "    try:\n        print(formats.read_dataset_text(path).to_lists())\n"
+                "    except FormatError as err:\n        print(err)\n")
+        outcomes = []
+        for limit in (None, "0", "640"):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                                              env.get("PYTHONPATH")]))
+            if limit is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = limit
+            child = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env, capture_output=True,
+                                   text=True, timeout=60)
+            assert child.returncode == 0, child.stderr
+            outcomes.append(child.stdout)
+        assert outcomes == [outcomes[0]] * 3
+        assert outcomes[0].splitlines() == ["line 2: token ids must be decimal integers", "[[7, 1]]"]
 
     @pytest.mark.parametrize("change", [
         pytest.param(lambda data: data + b"7\n", id="grown"),
@@ -622,6 +660,109 @@ class TestRowReader:
             formats.read_embeddings(path, rows=ids)
 
 
+def reference_read_remap(data: bytes) -> RemapTable:
+    """The remap reader as it was before pairs were parsed in blocks: ``json.loads`` on the whole text, the pairs
+    as Python lists, then one numpy array, then a sort of the dense ids; keep ids checked as a set."""
+    try:
+        obj = json.loads(formats._decode_utf8(data, "remap file"))
+    except (ValueError, RecursionError) as err:
+        raise FormatError(f"remap file is not valid JSON: {err}") from None
+    if not isinstance(obj, dict):
+        raise FormatError("remap file must be a JSON object")
+    for key in ("original_vocab_size", "ordering", "keep_tokens", "pairs"):
+        if key not in obj:
+            raise FormatError(f"remap file missing key {key!r}")
+    try:
+        ordering = RemapOrdering(obj["ordering"])
+    except ValueError:
+        raise FormatError(f"unknown ordering {obj['ordering']!r}") from None
+    types = {"original_vocab_size": int, "keep_tokens": list}
+    for key, value in obj.items():
+        if key in types and type(value) is not types[key]:
+            raise FormatError(f"remap file {key} must be a JSON {types[key].__name__}, got {type(value).__name__}")
+    vocab_size, keep = obj["original_vocab_size"], obj["keep_tokens"]
+    if not set(map(type, keep)) <= {int}:
+        raise FormatError("remap keep_tokens must be JSON integers")
+    if not 0 <= vocab_size <= 2**32:
+        raise FormatError(f"original_vocab_size {vocab_size} is outside the u32 id range 0..{2**32}")
+    try:
+        pairs = np.asarray(obj["pairs"]) if obj["pairs"] != [] else np.empty((0, 2), dtype=np.int64)
+    except ValueError:
+        pairs = np.empty(0)
+    if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
+            or not all(type(value) is int for pair in obj["pairs"] for value in pair)):
+        raise FormatError("remap pairs must be a list of [original_id, dense_id] JSON integer pairs")
+    dense = pairs[:, 1]
+    if not np.array_equal(np.sort(dense), np.arange(dense.size)):
+        raise RemapInconsistent(f"dense ids must cover 0..{dense.size - 1} exactly once")
+    inverse = np.empty(dense.size, dtype=pairs.dtype)
+    inverse[dense] = pairs[:, 0]
+    try:
+        RemapTable(vocab_size, inverse, ordering)
+        unmapped = set(keep).difference(inverse.tolist())
+        if unmapped:
+            raise ValueError(f"keep token {min(unmapped)} is not a mapped id")
+        return RemapTable(vocab_size, inverse, ordering, keep)
+    except ValueError as err:
+        raise RemapInconsistent(str(err)) from None
+
+
+def _remap_outcome(read, source):
+    """A remap as its fields, or an error as its type and message."""
+    try:
+        remap = read(source)
+    except (FormatError, RemapInconsistent) as err:
+        return type(err), str(err)
+    return remap.original_vocab_size, remap.inverse.tolist(), remap.ordering, remap.keep_tokens
+
+
+# What an edit puts in place of an id, or inserts anywhere, to make a remap the block reader must refuse or read
+# exactly as json.loads does.
+_ID_EDITS = ["-0", "00", "007", "-1", "1.0", "1e0", "1E2", "true", "false", "null", "1 2", "", "[1]", "[]", "[1, [2]]",
+             "999999999999999999", "1000000000000000000", "9223372036854775807", "9223372036854775808",
+             "99999999999999999999", "18446744073709551616"]
+_INSERTS = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "[", "]", ",", "0", "5", "-", ".", "e", "{", "}", '"', ":", "\u00e9",
+            '"pairs": [], ']
+
+
+@st.composite
+def _remap_texts(draw):
+    """A remap's JSON bytes in any whitespace and key order, maybe with a second ``pairs`` key, then up to three
+    edits; and whether it is a file that the block reader must take (no edit, ``pairs`` last and once, not empty)."""
+    space = st.text(" \t\n\r", max_size=2)
+    ids = draw(st.lists(st.integers(0, 70), unique=True, max_size=12))
+    pairs = draw(st.permutations([(original, dense) for dense, original in enumerate(ids)]))
+    listed = ",".join(draw(space) + "[" + draw(space) + str(original) + draw(space) + "," + draw(space) + str(dense)
+                      + draw(space) + "]" + draw(space) for original, dense in pairs)
+    items = [("original_vocab_size", str(draw(st.sampled_from([71, 64, 30, 0, 2**32, 2**32 + 1])))),
+             ("ordering", json.dumps(draw(st.sampled_from(["ascending_id", "frequency_descending", "random"])))),
+             ("keep_tokens", json.dumps(draw(st.lists(st.integers(-2, 72), max_size=3)))),
+             ("pairs", "[" + (listed or draw(space)) + "]")]
+    if draw(st.booleans()):
+        items = draw(st.permutations(items))
+    if draw(st.integers(0, 3)) == 0:  # json.loads keeps the last value of a key
+        items.insert(draw(st.integers(0, len(items))), ("pairs", draw(st.sampled_from(["[]", "[[0, 0]]", "[[5,0]]"]))))
+    if draw(st.integers(0, 3)) == 0:  # another key after pairs, or "pairs" in a nested object
+        items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(
+            [("pairs", "7"), ("pairs", "{}"), ("x", '{"pairs": [[1, 0]]}'), ("x", "7"), ('a\\"pairs', "[[1, 0]]")])))
+    text = ("{" + ",".join(draw(space) + json.dumps(key) + draw(space) + ":" + draw(space) + value + draw(space)
+                           for key, value in items) + "}" + draw(space)).encode()
+    taken = bool(pairs) and items[-1][0] == "pairs" and text.count(b'"pairs"') == 1
+    for kind in draw(st.lists(st.sampled_from(["id", "insert", "delete", "byte"]), max_size=3)):
+        taken = False
+        at = draw(st.integers(0, len(text)))
+        if kind == "id" and (ids := list(re.finditer(rb"\d+", text))):
+            found = ids[draw(st.integers(0, len(ids) - 1))]
+            text = text[:found.start()] + draw(st.sampled_from(_ID_EDITS)).encode() + text[found.end():]
+        elif kind == "insert":
+            text = text[:at] + draw(st.sampled_from(_INSERTS)).encode() + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + draw(st.sampled_from([b"\xff", b"\xe3\x81", b"\xef\xbb\xbf"])) + text[at:]
+    return text, taken
+
+
 @st.composite
 def _remaps(draw):
     keep = draw(st.lists(st.integers(0, 63), unique=True, max_size=5))
@@ -716,6 +857,71 @@ class TestRemapFiles:
         }))
         with pytest.raises(RemapInconsistent, match=f"keep token {keep[0]} "):
             formats.read_remap(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_remap_texts(), st.sampled_from([1, 7, vocab._BLOCK]))
+    def test_reader_matches_json_reference(self, text, block):
+        """The same remap as ``json.loads`` on the whole file, or the same error, at any block size; a plain file
+        whose ``pairs`` is its last key is read by blocks."""
+        data, taken = text
+        fd, path = tempfile.mkstemp(suffix=".json")
+        os.write(fd, data)
+        os.close(fd)
+        try:
+            with mock.patch.object(vocab, "_BLOCK", block):
+                got = _remap_outcome(formats.read_remap, path)
+                by_blocks = formats._read_pairs(path) is not None
+        finally:
+            os.unlink(path)
+        assert got == _remap_outcome(reference_read_remap, data)
+        assert by_blocks or not taken
+
+    @pytest.mark.parametrize("pairs", [
+        b"[[3, 0], [1, 1]]", b"[[3,0],[1,1]]", b"[ [ 3 ,0 ] ,\r\n\t[1,1]\n]", b"[[1, 1], [3, 0]]", b"[[3, 0], [0, 1]]",
+        b"[[03, 0], [1, 1]]", b"[[-0, 0], [1, 1]]", b"[[3, 0], [1, 1.0]]", b"[[3, 0], [1, 1e0]]", b"[[3, 0], [true, 1]]",
+        b"[[3, 0], [1 1, 1]]", b"[[3, 0], [, 1]]", b"[[3, 0], [1, 1],]", b"[[3, 0] [1, 1]]", b"[[3, 0], [1, [1]]]",
+        b"[[3, 0], [1, 1, 2]]", b"[[3, 0], [1]]", b"[]", b"[[3, 0], 7]", b"[[3, 0]] ", b"[[3, 0], [1, 1]]]",
+        b"[[3, 0], [1000000000000000001, 1]]", b"[[3, 0], [99999999999999999999, 1]]",
+        b"[[3, 0], [9223372036854775808, 1]]", b"[[3, 0], [1, 1]\x0b]", b"[[3, 0], [1, 1\xff]]",
+        b"[[3, 0], 1[1, ]]", b"[[3,0],[1,]1]", b"[1[3, 0], [1, ]]", b"[[3, 0]1, [1, ]]", b"[[3, 0], [[1, 1]]]",
+        b'[[3, 0], [1, 1]], "pairs": 7', b'[[3, 0], [1, 1]], "pairs": {}', b'[[3, 0], [1, 1]], "x": 7',
+        b'[[1, 0]], "pairs": [[3, 0], [1, 1]]', b'[[3, 0], [1, 1]]}{', b'[[3, 0], [1, 1]]\n',
+    ])
+    @pytest.mark.parametrize("block", [1, 7, vocab._BLOCK])
+    def test_pairs_layouts_match_json_reference(self, tmp_path, pairs, block):
+        data = b'{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "pairs": ' + pairs + b"}\n"
+        path = tmp_path / "remap.json"
+        path.write_bytes(data)
+        with mock.patch.object(vocab, "_BLOCK", block):
+            assert _remap_outcome(formats.read_remap, path) == _remap_outcome(reference_read_remap, data)
+
+    @pytest.mark.parametrize("data", [
+        b'{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "x": {"pairs": [[1, 0]]}, '
+        b'"pairs": {}}',
+        b'{"pairs": [[1, 0]], "original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1]}',
+        b'{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "a\\"pairs": [[1, 0]]}',
+        b'{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "pair\\u0073": [[1, 0]]}',
+        b'\xef\xbb\xbf{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "pairs": [[1, 0]]}',
+        b'{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "pairs": [[1, 0]]',
+        b'{"original_vocab_size": 8, "ordering": "ascending_\xff", "keep_tokens": [1], "pairs": [[1, 0]]}',
+        b'[{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "pairs": [[1, 0]]}]',
+    ], ids=["nested-pairs", "pairs-first", "escaped-quote-key", "escaped-key", "bom", "unclosed", "not-utf8-head",
+            "not-an-object"])
+    @pytest.mark.parametrize("block", [1, 7, vocab._BLOCK])
+    def test_key_layouts_match_json_reference(self, tmp_path, data, block):
+        path = tmp_path / "remap.json"
+        path.write_bytes(data)
+        with mock.patch.object(vocab, "_BLOCK", block):
+            assert _remap_outcome(formats.read_remap, path) == _remap_outcome(reference_read_remap, data)
+
+    @pytest.mark.parametrize("block", [1, 7, vocab._BLOCK])
+    def test_written_remap_is_read_by_blocks(self, tmp_path, block):
+        remap = RemapTable(300, np.arange(299, -1, -3), RemapOrdering.FREQUENCY_DESCENDING, (2, 299))
+        path = tmp_path / "remap.json"
+        formats.write_remap(remap, path)
+        with mock.patch.object(vocab, "_BLOCK", block):
+            assert formats._read_pairs(path) is not None
+            assert formats.read_remap(path) == remap
 
     def test_unknown_ordering(self, tmp_path):
         import json

@@ -74,27 +74,34 @@ def _set_up(out: Path, previous: dict[str, bytes]) -> None:
 
 
 @pytest.fixture()
-def runs(tmp_path):
+def runs(tmp_path, monkeypatch):
     """For each subcommand, the argv of a previous run and of a new run, each missing its ``--out``."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")  # the same report bytes in this process and a child
     rng = np.random.default_rng(7)
     for name, rows in [("old.txt", ([1, 3], [5, 1], [3])), ("new.txt", ([2], [4, 4, 2], [], [7, 0]))]:
         formats.write_dataset_text(TokenizedDataset(rows, 8), tmp_path / name)
     matrix = tmp_path / "embeddings.depe"
     formats.write_embeddings(EmbeddingMatrix(rng.standard_normal((8, 2)).astype(np.float32)), matrix)
-    pruned = tmp_path / "pruned"
-    assert main(["prune", "--dataset", str(tmp_path / "old.txt"), "--embeddings", str(matrix),
-                 "--out", str(pruned)]) == 0
+    prunes = [["prune", "--dataset", tmp_path / name, "--embeddings", matrix] for name in ("old.txt", "new.txt")]
+    remaps = []
+    for argv, name in zip(prunes, ("pruned", "pruned-new")):
+        assert main([*map(str, argv), "--out", str(tmp_path / name)]) == 0
+        remaps.append(tmp_path / name / "remap.json")
     for name in ("old.depe", "new.depe"):  # the 3 learned rows land at ids 1, 3 and 5: three runs
         formats.write_embeddings(EmbeddingMatrix(rng.standard_normal((3, 2)).astype(np.float32)), tmp_path / name)
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"vocab_size": 8, "d_model": 2, "num_layers": 1, "num_heads": 1}))
     return {
         "analyze": [["analyze", "--dataset", tmp_path / name] for name in ("old.txt", "new.txt")],
-        "restore": [["restore", "--embeddings", matrix, "--remap", pruned / "remap.json", "--learned", tmp_path / name]
+        "restore": [["restore", "--embeddings", matrix, "--remap", remaps[0], "--learned", tmp_path / name]
                     for name in ("old.depe", "new.depe")],
+        "prune": prunes,
+        "report": [["report", "--remap", remap, "--model-config", config] for remap in remaps],
     }
 
 
 @pytest.mark.parametrize("had_previous", [True, False], ids=["previous-set", "no-previous-set"])
-@pytest.mark.parametrize("subcommand", ["analyze", "restore"])
+@pytest.mark.parametrize("subcommand", ["analyze", "restore", "prune", "report"])
 def test_every_kill_point_leaves_the_previous_or_the_new_set(tmp_path, runs, subcommand, had_previous):
     """A set mixing previous and new files is allowed only for a kill after the first rename and before the
     last."""

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dep import EmbeddingMatrix, TokenizedDataset, formats, vocab
+from dep import EmbeddingMatrix, RemapOrdering, RemapTable, TokenizedDataset, formats, vocab
 from dep.cli import main
 
 _MIB = 2**20
@@ -37,15 +37,16 @@ _CHUNK = 1 << 14
 #   analyze of a .txt dataset: the same reader, which holds no more than a binary read          (8.7 MiB)
 #   analyze --checkpoints all: the ids, and per token one curve point (two int64s) with the temporaries
 #            of checking it and of the Heaps fit, about 81 bytes; a Python tuple per point took ~300   (162.8 MiB)
-#   restore: one piece of learned rows, at most one block of values, plus the remap's JSON pairs as
-#            Python objects; reading the learned rows whole peaked at 5.34 MiB                       (2.66 MiB)
+#   restore: one piece of learned rows, at most one block of values, plus the remap's ids, a few int64
+#            words per kept row while remap.json is read; reading the learned rows whole peaked at
+#            5.34 MiB, and the remap's pairs as Python objects (json.loads) at 2.66 MiB               (0.34 MiB)
 _BUDGETS = {
     "analyze": lambda c: 4 * c.N + 16 * c.S + 24 * c.V + 0.5 * _MIB,
     "prune": lambda c: max(4 * c.N, 4 * c.R * c.d) + 16 * c.S + 24 * c.V + 0.25 * _MIB,
     "prune-text": lambda c: 4 * c.N + 16 * c.S + 24 * c.V + 0.5 * _MIB,
     "analyze-text": lambda c: 4 * c.N + 16 * c.S + 24 * c.V + 0.5 * _MIB,
     "analyze-all": lambda c: 4 * c.N + 84 * c.N + 32 * c.S + 32 * c.V + 1.5 * _MIB,
-    "restore": lambda c: 16 * _CHUNK + 128 * c.R + 1.25 * _MIB,
+    "restore": lambda c: 16 * _CHUNK + 32 * c.R + 0.25 * _MIB,
 }
 
 
@@ -108,8 +109,8 @@ def test_peak_allocation_within_budget(corpus, monkeypatch, name):
 
 # Bytes one unit of a block may add to a peak: six int64 words. The most any pass holds per unit is the text
 # writer's, about 36 bytes per id of a chunk (the digit grid, each id's byte offset, the digits left to write).
-# From 16 Ki to 64 Ki units the peaks grew by 0.80 (analyze), 0.37 (prune), 1.76 (prune of a .txt) and
-# 0.80 MiB (analyze of a .txt); restore's did not move, as the remap's pairs outweigh a 256 KiB piece.
+# From 16 Ki to 64 Ki units the peaks grew by 0.80 (analyze), 0.37 (prune), 1.76 (prune of a .txt),
+# 0.80 (analyze of a .txt) and 0.28 MiB (restore: its piece of learned rows and a block of remap.json's text).
 _PER_BLOCK_UNIT = 48
 
 
@@ -120,3 +121,24 @@ def test_peak_grows_by_a_few_blocks(corpus, monkeypatch, name):
     small, large = (_peak(corpus, monkeypatch, name, block) for block in (_CHUNK, 4 * _CHUNK))
     assert large - small <= _PER_BLOCK_UNIT * 3 * _CHUNK, (
         f"{name} peaked at {small / _MIB:.2f} MiB with blocks of {_CHUNK} and {large / _MIB:.2f} MiB with {4 * _CHUNK}")
+
+
+def _remap_read_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        formats.read_remap(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_remap_read_holds_a_few_words_per_pair(tmp_path):
+    """Reading ``remap.json`` holds each pair as int64 words, never as Python objects: from 25 000 to 250 000 pairs
+    the peak grows by at most 32 bytes per added pair. ``json.loads`` of the pairs took about 225."""
+    peaks = []
+    for size in (25_000, 250_000):
+        path = tmp_path / f"remap-{size}.json"
+        inverse = np.random.default_rng(size).permutation(size)
+        formats.write_remap(RemapTable(size, inverse, RemapOrdering.FREQUENCY_DESCENDING, (0, 1)), path)
+        peaks.append(_remap_read_peak(path))
+    assert peaks[1] - peaks[0] <= 32 * 225_000, f"{peaks[0] / _MIB:.2f} MiB, then {peaks[1] / _MIB:.2f} MiB"
