@@ -25,7 +25,6 @@ class OutOfRangeToken(DepError):
         self.sequence_index = sequence_index
         self.position = position
         self.token_id = token_id
-        self.vocab_size = vocab_size
         super().__init__(
             f"token id {token_id} at sequence {sequence_index}, position {position} "
             f"is out of range for vocab_size {vocab_size}"
@@ -55,8 +54,6 @@ class KeepTokenOutOfRange(DepError):
     exit_status = 2
 
     def __init__(self, token_id: int, vocab_size: int):
-        self.token_id = token_id
-        self.vocab_size = vocab_size
         super().__init__(f"keep token {token_id} is out of range for vocab_size {vocab_size}")
 
 
@@ -67,7 +64,6 @@ class VocabTooLarge(DepError):
     exit_status = 2
 
     def __init__(self, vocab_size: int):
-        self.vocab_size = vocab_size
         super().__init__(f"vocabulary of {vocab_size} ids needs more memory than this process can allocate")
 
 
@@ -85,7 +81,6 @@ class InsufficientPoints(DepError):
     exit_status = 2
 
     def __init__(self, usable: int):
-        self.usable = usable
         super().__init__(f"need at least 2 points with positive coordinates, got {usable}")
 
 
@@ -103,8 +98,6 @@ class InvalidCounts(DepError):
     exit_status = 2
 
     def __init__(self, original_vocab: int, reduced_vocab: int):
-        self.original_vocab = original_vocab
-        self.reduced_vocab = reduced_vocab
         super().__init__(f"invalid vocabulary counts: original {original_vocab}, reduced {reduced_vocab}")
 
 
@@ -115,8 +108,6 @@ class InconsistentInputs(DepError):
     exit_status = 3
 
     def __init__(self, name_a: str, value_a, name_b: str, value_b):
-        self.name_a, self.value_a = name_a, value_a
-        self.name_b, self.value_b = name_b, value_b
         super().__init__(f"{name_a} ({value_a}) does not match {name_b} ({value_b})")
 
 
@@ -134,8 +125,6 @@ class BadMagic(DepError):
     exit_status = 2
 
     def __init__(self, expected: bytes, found: bytes):
-        self.expected = expected
-        self.found = found
         super().__init__(f"expected magic {expected!r}, found {found!r}")
 
 
@@ -146,8 +135,6 @@ class UnsupportedVersion(DepError):
     exit_status = 2
 
     def __init__(self, found: int, supported: int):
-        self.found = found
-        self.supported = supported
         super().__init__(f"unsupported format version {found} (supported: {supported})")
 
 
@@ -165,7 +152,6 @@ class MissingInput(DepError):
     exit_status = 5
 
     def __init__(self, path, reason: str):
-        self.path = path
         super().__init__(f"cannot read input file: {path} ({reason})")
 
 
@@ -176,7 +162,6 @@ class OutputExists(DepError):
     exit_status = 4
 
     def __init__(self, path):
-        self.path = path
         super().__init__(f"output already exists (use --force to overwrite): {path}")
 
 
@@ -187,7 +172,6 @@ class UnwritableOutput(DepError):
     exit_status = 4
 
     def __init__(self, path, reason: str = ""):
-        self.path = path
         msg = f"cannot write output: {path}"
         if reason:
             msg += f" ({reason})"

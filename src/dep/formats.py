@@ -31,11 +31,11 @@ Only ``\n`` ends a line; other ASCII whitespace separates ids like a space.
 Text is meant for fixtures and debugging, binary for large corpora. The
 reader reads the file twice through one handle, one block of whole lines
 at a time, and never holds its bytes whole. The first pass classes each
-block's bytes to count its ids and lines and find its first bad field;
-only a block with a byte other than a digit or whitespace, or a run of 19
-or more digits, is checked further. The second parses each block with one
-``np.fromstring`` straight into the uint32 ids. The writer fills one byte
-array per chunk of whole lines from the ids' place values.
+block's bytes to count its ids and lines, and stops at the first line with
+a bad field; only a block with a byte other than a digit or whitespace, or
+a run of 19 or more digits, is checked further. The second parses each
+block with one ``np.fromstring`` straight into the uint32 ids. The writer
+fills one byte array per chunk of whole lines from the ids' place values.
 
 Every chunk, block and slice that these readers and writers, the counting
 and the remapping handle is bounded by the one block size ``vocab._BLOCK``,
@@ -51,6 +51,7 @@ after a ``]``: it checks each block's bytes against the shape of a list of
 pairs of decimal ids and parses it with one ``np.fromstring`` into int64,
 and parses the other keys with ``json.loads``. Any file that check refuses
 is read whole by ``json.loads``, so every JSON layout reads as before.
+Every integer of every JSON input must be an int64 (:func:`_json_int`).
 
 Every reader opens its input through ``_open``, so an input that cannot be
 opened or read, or is not a regular file, is :class:`MissingInput`; text
@@ -68,6 +69,7 @@ import stat
 import struct
 from bisect import bisect_right
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -148,11 +150,20 @@ def _decode_utf8(data: bytes, what: str, at: int = 0) -> str:
         raise FormatError(f"{what} is not UTF-8: '{err.encoding}' codec can't decode {where}: {err.reason}") from None
 
 
+def _json_int(what: str, text: str) -> int:
+    """``parse_int`` of ``json.loads``: an integer outside int64 by :func:`_fits_int64`'s rule is
+    :class:`FormatError`, whatever digit limit ``int()`` has. JSON writes no leading zero, so 18 characters fit."""
+    if len(text) > 18 and not _fits_int64(text.encode()):
+        shown = text if len(text) <= 24 else f"one of {len(text.lstrip('-'))} digits"
+        raise FormatError(f"{what} integers must be within int64, got {shown}")
+    return int(text)
+
+
 def _read_json_object(path, what: str) -> dict:
     with _open(path) as handle:
         data = handle.read()
     try:
-        obj = json.loads(_decode_utf8(data, what))
+        obj = json.loads(_decode_utf8(data, what), parse_int=partial(_json_int, what))
     except (ValueError, RecursionError) as err:  # RecursionError: nesting deeper than the parser's stack
         raise FormatError(f"{what} is not valid JSON: {err}") from None
     if not isinstance(obj, dict):
@@ -284,11 +295,10 @@ def _text_chunks(tokens: np.ndarray, offsets: np.ndarray, sep: int):
 
 
 # The bytes of a text dataset, by class: "d" an ASCII digit, " " the ASCII whitespace that str.split() splits on
-# ("\n" included, as it splits a line into ids the same way), "-", "!" a byte that int() takes but a decimal id
-# never holds (non-ASCII, "+" or "_") and "?" any other byte.
+# ("\n" included, as it splits a line into ids the same way), "-" and "?" any other byte.
 _SPLIT_ON = bytes(b for b in range(128) if chr(b).isspace())
-_BYTE_CLASS = bytes(ord("d" if b in b"0123456789" else " " if b in _SPLIT_ON else "-" if b == ord("-")
-                        else "!" if b >= 128 or b in b"+_" else "?") for b in range(256))
+_BYTE_CLASS = bytes(ord("d" if b in b"0123456789" else " " if b in _SPLIT_ON else "-" if b == ord("-") else "?")
+                    for b in range(256))
 _TO_SPACE = bytes(ord(" ") if b in _SPLIT_ON else b for b in range(256))
 _LONG_RUN = b"d" * 19  # a run of fewer digits always fits int64
 _LONG_ID = re.compile(rb"-?d{19,}")
@@ -319,17 +329,17 @@ def _line_blocks(handle, end: bytes = b"\n"):
         yield at, b"".join(rest)
 
 
-def _scan_lines(lines: bytes) -> tuple[int, int, int]:
-    """The number of ids in the whole ``lines``, then where its first ``"!"`` byte is and where its first field
-    that is not a decimal int64 is, each -1 if there is none."""
+def _scan_lines(lines: bytes) -> tuple[int, int]:
+    """The number of ids in the whole ``lines``, and where its first field that is not a decimal int64 is, -1 if
+    there is none."""
     classes = lines.translate(_BYTE_CLASS)
     gap = np.frombuffer(classes, dtype=np.uint8) == ord(" ")
     count = int(np.count_nonzero(gap[:-1] > gap[1:])) + (not gap[0])  # fields start after a gap or a block's start
-    if not any(mark in classes for mark in (b"?", b"!", b"-", _LONG_RUN)):  # only whitespace and short ids
-        return count, -1, -1
+    if not any(mark in classes for mark in (b"?", b"-", _LONG_RUN)):  # only whitespace and short ids
+        return count, -1
     bad = [m.start() for m in [_BAD_FIELD.search(classes)] if m]
     bad += [m.start() for m in _LONG_ID.finditer(classes) if not _fits_int64(lines[m.start():m.end()])]
-    return count, classes.find(b"!"), min(bad, default=-1)
+    return count, min(bad, default=-1)
 
 
 def _fits_int64(field: bytes) -> bool:
@@ -360,9 +370,10 @@ def _parse_ids(lines: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
-    """Errors in this order: not UTF-8; the first line with a ``"!"`` byte; the first line with a field that is
-    not a decimal int64; ``vocab_size`` outside ``0..2**32``; the first id outside ``[0, vocab_size)``, where
-    ``vocab_size`` defaults to max id + 1 capped at ``2**32``. So ``-0`` reads as 0 and ``-3`` is out of range.
+    """Errors in this order: the first line with a field that is not a decimal int64, as that line's UTF-8 error
+    at its file position if it is not UTF-8; ``vocab_size`` outside ``0..2**32``; the first id outside
+    ``[0, vocab_size)``, where ``vocab_size`` defaults to max id + 1 capped at ``2**32``. So ``-0`` reads as 0 and
+    ``-3`` is out of range.
 
     The file is read twice through one handle, one block of whole lines at a time: first to check it and count
     its ids and lines, then to parse them. A file whose second read does not hold the ids and lines counted in the
@@ -370,19 +381,15 @@ def read_dataset_text(path, vocab_size: int | None = None) -> TokenizedDataset:
     """
     with _open(path) as handle:
         total, lines, last = 0, 0, b"\n"
-        firsts = [0, 0]  # line numbers of the first "!" byte and of the first bad field
         for at, block in _line_blocks(handle):
-            if not block.isascii():
-                _decode_utf8(block, "text dataset", at)
-            count, *found = _scan_lines(block)
-            for k, pos in enumerate(found):
-                if pos >= 0 and not firsts[k]:
-                    firsts[k] = lines + block.count(b"\n", 0, pos) + 1
+            count, bad = _scan_lines(block)
+            if bad >= 0:  # only the bad line is decoded, newline included, so a cut character reads as in the file
+                start = block.rfind(b"\n", 0, bad) + 1
+                _decode_utf8(block[start:block.find(b"\n", bad) + 1 or len(block)], "text dataset", at + start)
+                lines += block.count(b"\n", 0, start) + 1
+                raise FormatError(f"line {lines}: token ids must be decimal integers")
             total, lines, last = total + count, lines + block.count(b"\n"), block[-1:]
         lines += last != b"\n"  # text after the last newline is one more line
-        for line_no in firsts:
-            if line_no:
-                raise FormatError(f"line {line_no}: token ids must be decimal integers")
         if vocab_size is not None:
             _check_vocab_size(vocab_size)
         limit = MAX_VOCAB_SIZE if vocab_size is None else vocab_size
@@ -575,10 +582,6 @@ def _json_pieces(obj: dict):
     yield "\n  ]\n}\n"
 
 
-def _dumps_ids_last(obj: dict) -> str:
-    return "".join(_json_pieces(obj))
-
-
 def _remap_fields(remap: RemapTable) -> dict:
     return {
         "original_vocab_size": remap.original_vocab_size,
@@ -589,7 +592,7 @@ def _remap_fields(remap: RemapTable) -> dict:
 
 
 def remap_to_json(remap: RemapTable) -> str:
-    return _dumps_ids_last(_remap_fields(remap))
+    return "".join(_json_pieces(_remap_fields(remap)))
 
 
 def write_remap(remap: RemapTable, path) -> None:
@@ -637,7 +640,7 @@ def _pair_ids(block: bytes, first: bool) -> tuple[np.ndarray, bool] | None:
 def _read_pairs(path) -> tuple[dict, list[np.ndarray]] | None:
     """A remap file whose last key is ``pairs``, holding a list of pairs that :func:`_pair_ids` takes, read one
     block at a time: the object as ``json.loads`` reads it but with ``[]`` for ``pairs``, and the ids of each
-    block. None for any other file."""
+    block. None for any other file; an integer outside int64 in the other keys raises as in the whole file."""
     with _open(path) as handle:
         blocks = (block for _, block in _line_blocks(handle, b"]"))
         head = []
@@ -667,7 +670,8 @@ def _read_pairs(path) -> tuple[dict, list[np.ndarray]] | None:
         return dict(items)
 
     try:
-        obj = json.loads(b"".join([*head, b"[]", block]).decode("utf-8"), object_pairs_hook=last_item)
+        obj = json.loads(b"".join([*head, b"[]", block]).decode("utf-8"), object_pairs_hook=last_item,
+                         parse_int=partial(_json_int, "remap file"))
     except (ValueError, RecursionError):
         return None
     return (obj, parts) if tops[-1] == [("pairs", [])] else None

@@ -141,6 +141,12 @@ class TestHostileHeaders:
         err = capsys.readouterr().err
         assert err.startswith("BAD_FORMAT: ") and len(err.strip()) > len("BAD_FORMAT:")
 
+    def test_word_past_the_last_sequence_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "trailing.dept"
+        path.write_bytes(_dept(8, 1, struct.pack("<III", 1, 0, 7)))
+        assert run("analyze", "--dataset", path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "BAD_FORMAT: trailing data after declared content\n"
+
     def test_embeddings_rows_2_40_exits_2(self, workspace, capsys):
         tmp_path, _, _, _, matrix_path, _ = workspace
         hostile = tmp_path / "hostile.depe"
@@ -168,7 +174,8 @@ class TestHostileHeaders:
 def _limited_child(argv, limit_bytes):
     """Run ``python argv`` with ``dep`` importable, under an address-space limit that binds only the child."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1"}  # OpenBLAS reserves address space for each of its threads
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
@@ -209,6 +216,16 @@ class TestVocabTooLarge:
         assert result.returncode == 2, result.stderr
         assert result.stderr == ("VOCAB_TOO_LARGE: vocabulary of 4294967296 ids needs more memory "
                                  "than this process can allocate\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_text_dataset_with_vocab_size_flag_exits_2(self, tmp_path):
+        dataset = tmp_path / "tiny.txt"
+        dataset.write_text("1 2\n7\n")
+        argv = ["-m", "dep", "analyze", "--dataset", str(dataset), "--vocab-size", str(2**32), "--out",
+                str(tmp_path / "out")]
+        result = _limited_child(argv, self._LIMIT)
+        assert (result.returncode, result.stderr) == (2, "VOCAB_TOO_LARGE: vocabulary of 4294967296 ids needs more "
+                                                         "memory than this process can allocate\n")
         assert not (tmp_path / "out").exists()
 
     def test_dense_id_table_and_seen_mask(self):
@@ -741,6 +758,30 @@ class TestOutputSet:
         assert err == f"UNWRITABLE_OUTPUT: cannot write output: {out / 'remap.json'} (rename refused)\n"
         assert _listing(out) == before
 
+    def test_failing_undo_is_logged(self, previous, capsys, monkeypatch, caplog):
+        """The second rename fails and so does putting back the first file: the run still exits 4, that file
+        stays the new run's, and a warning names it."""
+        out, argv = previous
+        before = _listing(out)
+        replace, calls = os.replace, []
+
+        def second_and_third_fail(source, target):
+            calls.append(target)
+            if len(calls) in (2, 3):
+                raise OSError("rename refused")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", second_and_third_fail)
+        with caplog.at_level(logging.WARNING, logger="dep"):
+            assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"UNWRITABLE_OUTPUT: cannot write output: {out / 'remap.json'} (rename refused)\n"
+        assert [record.getMessage() for record in caplog.records] == [
+            f"could not put back {out / 'pruned_dataset.dept'}: rename refused"]
+        after = _listing(out)
+        assert after["pruned_dataset.dept"] != before["pruned_dataset.dept"]
+        assert {**after, "pruned_dataset.dept": None} == {**before, "pruned_dataset.dept": None}
+
     def test_refused_link_leaves_that_file_new(self, previous, monkeypatch):
         """Where the filesystem refuses the link, a file renamed before a failure stays the new run's."""
         out, argv = previous
@@ -1210,6 +1251,7 @@ class TestModelConfigTypes:
         ("vocab_size", "1e400"), ("vocab_size", "8.5"), ("vocab_size", "true"), ("d_model", "2.0"),
         ("num_layers", '"1"'), ("num_heads", "false"), ("ffn_dim", "8.0"), ("max_positions", '"4"'),
         ("type_vocab", "null"), ("has_pooler", '"no"'), ("has_pooler", "0"), ("name", "5"), ("num_layers", "-1"),
+        pytest.param("max_positions", "9" * 4299, id="max_positions-4299-digits"),  # its count is past int()'s digits
     ])
     def test_wrong_type_exits_2(self, tmp_path, capsys, key, literal):
         path = tmp_path / "cfg.json"
@@ -1219,6 +1261,7 @@ class TestModelConfigTypes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert _ERROR_LINE.fullmatch(captured.err) and captured.err.startswith("BAD_FORMAT: ")
+
 
 
 class TestPipeline:

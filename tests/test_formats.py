@@ -47,30 +47,31 @@ def reference_dataset_bytes(dataset):
 
 
 def reference_read_text(data: bytes, vocab_size=None):
-    """The text form read one line and one id at a time with ``int()``.
+    """The text form read one line and one id at a time.
 
-    Checks run in the reader's order: UTF-8, then the first line with a
-    character that is not plain ASCII (or a ``+`` or ``_``), then the first
-    line with a field that is not ``-?d+`` or not an int64 by
-    :func:`reference_int64`'s fixed rule, then ``vocab_size`` (default max
-    id + 1, capped at 2**32), then the first id outside ``[0, vocab_size)``.
+    Checks run in the reader's order: the first line that is not plain
+    ASCII or holds a field that is not ``-?d+`` or not an int64 by
+    :func:`reference_int64`'s fixed rule, as the UTF-8 error of the file up
+    to that line's end if it has one (every line before is ASCII), then
+    ``vocab_size`` (default max id + 1, capped at 2**32), then the first id
+    outside ``[0, vocab_size)``.
     """
-    try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as err:
-        raise FormatError(f"text dataset is not UTF-8: {err}") from None
-    if lines[-1] == "":
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
         lines.pop()
-    not_decimal = "line {}: token ids must be decimal integers"
+    rows, end = [], 0
     for line_no, line in enumerate(lines, start=1):
-        if not line.isascii() or "+" in line or "_" in line:
-            raise FormatError(not_decimal.format(line_no))
-    rows = []
-    for line_no, line in enumerate(lines, start=1):
+        end += len(line) + 1
         try:
-            rows.append([reference_int64(field) for field in line.split()])
+            if not line.isascii():
+                raise ValueError(line)
+            rows.append([reference_int64(field) for field in line.decode("ascii").split()])
         except ValueError:
-            raise FormatError(not_decimal.format(line_no)) from None
+            try:
+                data[:end].decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise FormatError(f"text dataset is not UTF-8: {err}") from None
+            raise FormatError(f"line {line_no}: token ids must be decimal integers") from None
     if vocab_size is None:
         vocab_size = min(max([0] + [value + 1 for row in rows for value in row]), 2**32)
     if not 0 <= vocab_size <= 2**32:
@@ -124,6 +125,27 @@ def _wide_id_datasets(draw):
 
 def _empty_line_datasets():
     return st.integers(0, 5).map(lambda n: TokenizedDataset([[]] * n, 3))
+
+
+def _read_under_int_limits(expression: str, paths) -> list[str]:
+    """The value of ``expression`` for each of ``paths``, or its :class:`FormatError`'s message, as printed by a
+    child interpreter, the same with ``PYTHONINTMAXSTRDIGITS`` unset, ``0`` and ``640``."""
+    code = ("import sys\nfrom dep import FormatError, formats\nfor path in sys.argv[1:]:\n"
+            f"    try:\n        print({expression})\n"
+            "    except FormatError as err:\n        print(err)\n")
+    outcomes = []
+    for limit in (None, "0", "640"):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                                          env.get("PYTHONPATH")]))
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        child = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env, capture_output=True,
+                               text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        outcomes.append(child.stdout)
+    assert outcomes == [outcomes[0]] * 3
+    return outcomes[0].splitlines()
 
 
 def _change_before_second_read(monkeypatch, path, change) -> None:
@@ -183,10 +205,13 @@ class TestDatasetFiles:
     @settings(max_examples=400)
     @given(st.lists(_TEXT_PIECES, max_size=24).map(b"".join),
            st.none() | st.integers(-1, 40) | st.sampled_from([2**32 - 1, 2**32, 2**32 + 1]), _CHUNK_SIZES)
-    @example(b"x\n+\n", None, 1)  # a "+" on a later line than a bad field is still reported first
+    @example(b"x\n+\n", None, 1)  # the first bad line is reported, whatever makes it bad
     @example(b"x 3\n+\n", None, vocab._BLOCK)
-    @example(b"+\nx\n7\n\xff\n", None, 2)  # a byte that is not UTF-8 wins from a later block, at its file position
-    @example(b"1\n+ x\n" + b"2\n" * 40 + b"3\xe3\x81\n", None, 3)  # ... and an error naming two bytes
+    @example(b"1 2\nabc\n3\n4\n5 +6\n", None, 2)
+    @example(b"+\nx\n7\n\xff\n", None, 2)  # ... also before a byte that is not UTF-8 in a later block
+    @example(b"1\n+ x\n" + b"2\n" * 40 + b"3\xe3\x81\n", None, 3)
+    @example(b"1\n" + b"2\n" * 40 + b"3\xe3\x81\n", None, 3)  # a bad line that is not UTF-8: its UTF-8 error, at
+    @example(b"1\n2\n3\xe3\x81", None, 1)  # its file position, for a character cut by a newline or the file's end
     @example(b"1 22 333 4444\n5 x\n6\n", None, 3)  # a line longer than a block, then a bad field
     @example(b"1 2\n\n3 44", None, 2)  # no newline at the end, in a later block than the first
     @example(b"\n\n\n", None, 1)  # only newlines: three empty sequences
@@ -213,22 +238,8 @@ class TestDatasetFiles:
         paths = [tmp_path / "long.txt", tmp_path / "padded.txt"]
         paths[0].write_bytes(b"1 2\n" + b"0" * 5000 + b"7\n")
         paths[1].write_bytes(b"0" * 699 + b"7 1\n")
-        code = ("import sys\nfrom dep import FormatError, formats\nfor path in sys.argv[1:]:\n"
-                "    try:\n        print(formats.read_dataset_text(path).to_lists())\n"
-                "    except FormatError as err:\n        print(err)\n")
-        outcomes = []
-        for limit in (None, "0", "640"):
-            env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
-                                                              env.get("PYTHONPATH")]))
-            if limit is not None:
-                env["PYTHONINTMAXSTRDIGITS"] = limit
-            child = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env, capture_output=True,
-                                   text=True, timeout=60)
-            assert child.returncode == 0, child.stderr
-            outcomes.append(child.stdout)
-        assert outcomes == [outcomes[0]] * 3
-        assert outcomes[0].splitlines() == ["line 2: token ids must be decimal integers", "[[7, 1]]"]
+        assert _read_under_int_limits("formats.read_dataset_text(path).to_lists()", paths) == [
+            "line 2: token ids must be decimal integers", "[[7, 1]]"]
 
     @pytest.mark.parametrize("change", [
         pytest.param(lambda data: data + b"7\n", id="grown"),
@@ -660,11 +671,21 @@ class TestRowReader:
             formats.read_embeddings(path, rows=ids)
 
 
-def reference_read_remap(data: bytes) -> RemapTable:
-    """The remap reader as it was before pairs were parsed in blocks: ``json.loads`` on the whole text, the pairs
-    as Python lists, then one numpy array, then a sort of the dense ids; keep ids checked as a set."""
+def reference_json_int(text: str) -> int:
+    """A remap's JSON integer by :func:`reference_int64`'s rule, outside int64 a :class:`FormatError`."""
     try:
-        obj = json.loads(formats._decode_utf8(data, "remap file"))
+        return reference_int64(text)
+    except ValueError:
+        shown = text if len(text) <= 24 else f"one of {len(text.lstrip('-'))} digits"
+        raise FormatError(f"remap file integers must be within int64, got {shown}") from None
+
+
+def reference_read_remap(data: bytes) -> RemapTable:
+    """The remap reader as it was before pairs were parsed in blocks: ``json.loads`` on the whole text, each
+    integer by :func:`reference_json_int`, the pairs as Python lists, then one numpy array, then a sort of the
+    dense ids; keep ids checked as a set."""
+    try:
+        obj = json.loads(formats._decode_utf8(data, "remap file"), parse_int=reference_json_int)
     except (ValueError, RecursionError) as err:
         raise FormatError(f"remap file is not valid JSON: {err}") from None
     if not isinstance(obj, dict):
@@ -720,7 +741,7 @@ def _remap_outcome(read, source):
 # exactly as json.loads does.
 _ID_EDITS = ["-0", "00", "007", "-1", "1.0", "1e0", "1E2", "true", "false", "null", "1 2", "", "[1]", "[]", "[1, [2]]",
              "999999999999999999", "1000000000000000000", "9223372036854775807", "9223372036854775808",
-             "99999999999999999999", "18446744073709551616"]
+             "99999999999999999999", "18446744073709551616", "-9223372036854775809", "1" * 4301]
 _INSERTS = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "[", "]", ",", "0", "5", "-", ".", "e", "{", "}", '"', ":", "\u00e9",
             '"pairs": [], ']
 
@@ -870,7 +891,10 @@ class TestRemapFiles:
         try:
             with mock.patch.object(vocab, "_BLOCK", block):
                 got = _remap_outcome(formats.read_remap, path)
-                by_blocks = formats._read_pairs(path) is not None
+                try:
+                    by_blocks = formats._read_pairs(path) is not None
+                except FormatError:  # an integer outside int64 in the keys that it parses itself
+                    by_blocks = False
         finally:
             os.unlink(path)
         assert got == _remap_outcome(reference_read_remap, data)
@@ -905,14 +929,43 @@ class TestRemapFiles:
         b'{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "pairs": [[1, 0]]',
         b'{"original_vocab_size": 8, "ordering": "ascending_\xff", "keep_tokens": [1], "pairs": [[1, 0]]}',
         b'[{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "pairs": [[1, 0]]}]',
+        b'{"original_vocab_size": 9223372036854775808, "ordering": "ascending_id", "keep_tokens": [1], '
+        b'"pairs": [[1, 0]]}',
+        b'{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [-9223372036854775809], '
+        b'"pairs": [[1, 0]]}',
+        b'{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [' + b"1" * 5001 + b'], '
+        b'"pairs": [[1, 0]]}',
+        b'{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": [1], "pairs": [[1, 0]], "x": 1e5000}',
     ], ids=["nested-pairs", "pairs-first", "escaped-quote-key", "escaped-key", "bom", "unclosed", "not-utf8-head",
-            "not-an-object"])
+            "not-an-object", "vocab-2-63", "keep-below-int64", "keep-5001-digits", "float-past-double"])
     @pytest.mark.parametrize("block", [1, 7, vocab._BLOCK])
     def test_key_layouts_match_json_reference(self, tmp_path, data, block):
         path = tmp_path / "remap.json"
         path.write_bytes(data)
         with mock.patch.object(vocab, "_BLOCK", block):
             assert _remap_outcome(formats.read_remap, path) == _remap_outcome(reference_read_remap, data)
+
+    def test_integers_outside_int64_read_the_same_whatever_int_max_str_digits(self, tmp_path):
+        """A remap's keep id of 5001 digits or of 2**63, on the block path or the whole-file one (a pairs list
+        with a 5001-digit id), and a model config's 4299-digit integer are refused, whatever limit
+        ``PYTHONINTMAXSTRDIGITS`` sets on the digits ``int()`` converts."""
+        head = '{"original_vocab_size": 8, "ordering": "ascending_id", "keep_tokens": ['
+        texts = {"keep.json": head + "1" * 5001 + '], "pairs": [[1, 0]]}',
+                 "keep-2-63.json": head + '9223372036854775808], "pairs": [[1, 0]]}',
+                 "pair.json": head + '1], "pairs": [[1, 0], [' + "1" * 5001 + ", 1]]}",
+                 "config.json": '{"vocab_size": 8, "d_model": 2, "num_layers": 1, "num_heads": 1, "max_positions": '
+                                + "9" * 4299 + "}"}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(FormatError):  # the block path parses the keep ids itself
+            formats._read_pairs(tmp_path / "keep.json")
+        assert formats._read_pairs(tmp_path / "pair.json") is None  # this one is read whole
+        read = "(formats.read_model_config if path.endswith('config.json') else formats.read_remap)(path)"
+        assert _read_under_int_limits(read, [tmp_path / name for name in texts]) == [
+            "remap file integers must be within int64, got one of 5001 digits",
+            "remap file integers must be within int64, got 9223372036854775808",
+            "remap file integers must be within int64, got one of 5001 digits",
+            "model config integers must be within int64, got one of 4299 digits"]
 
     @pytest.mark.parametrize("block", [1, 7, vocab._BLOCK])
     def test_written_remap_is_read_by_blocks(self, tmp_path, block):
@@ -962,7 +1015,7 @@ class TestIdListJson:
             obj = {**head, "ids": array}
             expected = json.dumps({**head, "ids": array.tolist()}, indent=2) + "\n"
             with mock.patch.object(vocab, "_BLOCK", block):
-                assert formats._dumps_ids_last(obj) == expected
+                assert "".join(formats._json_pieces(obj)) == expected
 
     @given(ids=_ID_LISTS, block=_JSON_BLOCKS)
     def test_write_json(self, tmp_path_factory, ids, block):
