@@ -18,6 +18,8 @@ from .errors import DegenerateFit, InsufficientPoints
 from .vocab import FrequencyTable, TokenizedDataset, _read_only, _vocab_arrays
 
 CheckpointPolicy = Union[str, Iterable[int]]
+# Index of an int64's high half in its two-uint32 view.
+_HIGH = int(np.little_endian)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -104,30 +106,31 @@ def _first_positions(stream: np.ndarray, vocab_size: int) -> np.ndarray:
     """Stream position of each distinct id's first occurrence, ascending.
 
     One pass over blocks of the stream with a ``seen`` mask over the
-    vocabulary. Only the not-yet-seen positions of a block are sorted, each
-    as one uint64 key with its id above its position in the block, so the
-    first key of each id holds its earliest position; past the first blocks
-    the pass is linear in the stream, and it never sorts the whole stream.
+    vocabulary. The not-yet-seen positions of a block come as one int64
+    array; each entry becomes a key with its position in the low half and its
+    id gathered into the high half through a uint32 view, so sorting the keys
+    as uint64 puts each id's earliest position first. Ids and positions are
+    read back through the same view, so a block holds that one array and a
+    gather of its ids. Past the first blocks the pass is linear in the
+    stream, and it never sorts the whole stream.
     """
     with _vocab_arrays(vocab_size):
         seen = np.zeros(vocab_size, dtype=bool)
     found, block = [], vocab._BLOCK
     for start in range(0, stream.size, block):
         chunk = stream[start:start + block]
-        new = np.flatnonzero(~seen[chunk])
-        if new.size:
-            keys = chunk[new].astype(np.uint64)
-            keys <<= 32
-            keys |= new.view(np.uint64)  # a block holds fewer than 2**32 positions
-            del new
-            keys.sort()  # under a quarter of the time of np.unique's argsort of the ids
-            top = keys >> 32
-            head = np.concatenate(([True], top[1:] != top[:-1]))
-            seen[top[head]] = True
-            first = keys[head] & 0xFFFFFFFF
-            del keys, top, head
+        keys = np.flatnonzero(~seen[chunk])  # a block holds fewer than 2**31 positions
+        if keys.size:
+            halves = keys.view(np.uint32).reshape(-1, 2)
+            halves[:, _HIGH] = chunk[keys]
+            keys.view(np.uint64).sort()  # under a quarter of the time of np.unique's argsort of the ids
+            ids = halves[:, _HIGH]
+            head = np.concatenate(([True], ids[1:] != ids[:-1]))
+            seen[ids[head]] = True
+            first = halves[head, 1 - _HIGH]
+            del keys, halves, ids, head
             first.sort()
-            found.append(first.view(np.int64) + start)
+            found.append(np.add(first, start, dtype=np.int64))  # numpy 1.x would keep a small start's uint32
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 

@@ -21,6 +21,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -125,6 +126,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     freqs = scan_dataset_parallel(dataset, args.partitions)
     coverage = coverage_ratio(freqs) if freqs.vocab_size >= 1 else 0.0
     curve = growth_curve(dataset, args.checkpoints)
+    num_sequences = dataset.num_sequences
+    del dataset  # the fit and the writers never stack on the ids
     try:
         fit = fit_heaps(curve)
         heaps = {"k": fit.k, "beta": fit.beta, "rmse_log": fit.rmse_log}
@@ -137,7 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     stats = {
         "dataset": str(args.dataset),
         "vocab_size": freqs.vocab_size,
-        "num_sequences": dataset.num_sequences,
+        "num_sequences": num_sequences,
         "total_tokens": freqs.total_tokens,
         "used_tokens": freqs.used_count,
         "coverage_ratio": coverage,
@@ -149,7 +152,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _write_outputs(args, {"stats.json": (formats.write_json, stats),
                           "growth.csv": (formats.write_growth_csv, curve)})
     print(
-        f"analyzed {dataset.num_sequences} sequences, {freqs.total_tokens} tokens: "
+        f"analyzed {num_sequences} sequences, {freqs.total_tokens} tokens: "
         f"{freqs.used_count}/{freqs.vocab_size} ids used (coverage {coverage:.4f})"
     )
     return EXIT_OK
@@ -230,18 +233,36 @@ def cmd_count_params(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# int()'s base-10 grammar once stripped; \d is any Unicode decimal digit, as int() reads them.
+_DECIMAL = re.compile(r"([+-]?)(\d+(?:_\d+)*)")
+
+
+def _flag_int(text: str) -> int:
+    """``int(text)`` of a flag value, where a value outside int64 by ``formats._fits_int64``'s fixed rule is
+    :class:`ValueError` whatever ``int()``'s digit limit (``PYTHONINTMAXSTRDIGITS``) says."""
+    match = _DECIMAL.fullmatch(text.strip())
+    if not match:
+        raise ValueError(f"invalid integer {text!r}")
+    sign, digits = match[1], match[2].replace("_", "")
+    digits = digits.translate({ord(c): str(int(c)) for c in set(digits)})  # any script's digits as ASCII
+    if not formats._fits_int64(sign.replace("+", "").encode() + digits.encode()):
+        raise ValueError(f"integer {text!r} is outside int64")
+    value = int(digits.lstrip("0") or "0")  # at most 19 digits: within any digit limit
+    return -value if sign == "-" else value
+
+
 def _parse_keep(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(field) for field in text.split(",") if field.strip() != "")
+        return tuple(_flag_int(field) for field in text.split(",") if field.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError("--keep expects comma-separated integer ids") from None
 
 
 def _int_at_least(minimum: int):
-    def integer(text: str) -> int:  # argparse names the type "integer" when int() fails
-        value = int(text)
+    def integer(text: str) -> int:  # argparse names the type "integer" when it raises ValueError
+        value = _flag_int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
         return value

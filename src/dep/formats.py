@@ -281,6 +281,7 @@ def _text_chunks(tokens: np.ndarray, offsets: np.ndarray, sep: int):
         ends = np.cumsum(width, out=width)
         grid = np.full(ends[-1], ord("\n"), dtype=np.uint8)
         place = ends[:-1]
+        del width, ends  # the offsets go with the first compaction of place, below
         place -= 1  # now the byte after each id
         grid[place] = sep
         grid[place[bounds[1:][~empty] - 1]] = ord("\n")

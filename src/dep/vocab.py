@@ -37,13 +37,13 @@ from .errors import KeepTokenOutOfRange, OutOfRangeToken, UnmappedToken, VocabTo
 
 TOKEN_DTYPE = np.uint32
 MAX_VOCAB_SIZE = 2**32  # ids are u32
-# 64-bit counts, as bincount returns them: corpora can exceed 2**32 tokens.
+# 64-bit counts: corpora can exceed 2**32 tokens.
 COUNT_DTYPE = np.int64
 # Forward-LUT entry of an id outside the remap domain; never below reduced_size.
 _UNMAPPED = np.iinfo(TOKEN_DTYPE).max
-# The one block size of every bounded pass over token ids, read at call time: ids per bincount call, remap slice
+# The one block size of every bounded pass over token ids, read at call time: ids per counting call, remap slice
 # or first-position scan; ids plus sequences per chunk a dataset reader or writer moves; bytes per text-dataset
-# read. It bounds their temporaries (bincount casts its block to intp) whatever the corpus size.
+# read. It bounds their temporaries (ufunc.at may cast its block to intp) whatever the corpus size.
 _BLOCK = 1 << 17
 
 
@@ -305,12 +305,17 @@ class RemapTable:
 
 
 def scan_dataset(dataset: TokenizedDataset) -> FrequencyTable:
-    """Count occurrences of every vocabulary id across the whole dataset."""
-    tokens, vocab_size, block = dataset.tokens, dataset.vocab_size, _BLOCK
-    with _vocab_arrays(vocab_size):
-        counts = np.zeros(vocab_size, dtype=COUNT_DTYPE)
-        for start in range(0, tokens.size, block):
-            counts += np.bincount(tokens[start:start + block], minlength=vocab_size)
+    """Count occurrences of every vocabulary id across the whole dataset.
+
+    Each block of ids is added into the one counts array in place, so
+    counting holds no second array per vocabulary id; the block bounds the
+    index copy that numpy's ``ufunc.at`` may make of it.
+    """
+    tokens, block = dataset.tokens, _BLOCK
+    with _vocab_arrays(dataset.vocab_size):
+        counts = np.zeros(dataset.vocab_size, dtype=COUNT_DTYPE)
+    for start in range(0, tokens.size, block):
+        np.add.at(counts, tokens[start:start + block], 1)
     return FrequencyTable(counts)
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dep import (
@@ -20,7 +20,7 @@ from dep import (
     growth_curve,
     scan_dataset,
 )
-from dep import vocab
+from dep import analysis, vocab
 
 from _strategies import token_datasets
 
@@ -175,6 +175,44 @@ class TestGrowthCurve:
         assert curve != GrowthCurve(((1, 1), (2, 2)), 6)
         assert curve != GrowthCurve(((1, 1),), 5)
         assert curve != ((1, 1), (2, 2))
+
+
+def _stream(ids, vocab_size: int) -> TokenizedDataset:
+    offsets = np.array([0, len(ids)], dtype=np.int64)
+    return TokenizedDataset.from_flat(np.array(ids, dtype=np.uint32), offsets, vocab_size)
+
+
+@st.composite
+def streams(draw):
+    """One sequence over a vocabulary of 1 to 40 ids: any ids, ids at ``V - 1`` and ``V - 2``, or all distinct."""
+    vocab_size = draw(st.integers(1, 40))
+    top = vocab_size - 1
+    ids = draw(st.one_of(
+        st.lists(st.integers(0, top), max_size=60),
+        st.lists(st.integers(max(top - 1, 0), top), max_size=60),
+        st.permutations(range(vocab_size)).flatmap(lambda ids: st.integers(0, len(ids)).map(lambda k: ids[:k])),
+    ))
+    return _stream(ids, vocab_size)
+
+
+class TestBlockPassesMatchWholeArrayReferences:
+    @given(streams(), st.sampled_from(["pow2", "all", "explicit"]), st.sampled_from([1, 2, 3, 7, vocab._BLOCK]))
+    @example(_stream([], 1), "all", 1)
+    @example(_stream([0, 0, 0], 1), "pow2", 2)
+    @example(_stream([4, 3, 2, 1, 0], 5), "all", 3)
+    def test_first_positions_curve_and_counts(self, dataset, policy, block):
+        """Blocked first positions, growth curve and counts equal ``np.unique`` and one whole-array ``bincount``."""
+        stream, vocab_size = dataset.tokens, dataset.vocab_size
+        checkpoints = list(range(1, stream.size + 1, 3)) if policy == "explicit" else policy
+        with mock.patch.object(vocab, "_BLOCK", block):
+            first = analysis._first_positions(stream, vocab_size)
+            curve = growth_curve(dataset, checkpoints)
+            counts = scan_dataset(dataset).counts
+        expected = np.sort(np.unique(stream, return_index=True)[1])
+        assert first.dtype == np.int64 and first.tolist() == expected.tolist()
+        assert curve.unique.tolist() == [int((expected < n).sum()) for n in curve.tokens.tolist()]
+        assert curve.final_unique == expected.size
+        assert counts.tolist() == np.bincount(stream, minlength=vocab_size).tolist()
 
 
 class TestFitHeaps:

@@ -250,6 +250,45 @@ class TestBadFlags:
         assert exit_info.value.code == 2
         assert f"argument {flag[0]}: expected an integer" in capsys.readouterr().err
 
+    def test_integer_flags_read_the_same_whatever_int_max_str_digits(self):
+        """A flag value outside int64 is a usage error (exit 2) and one inside it keeps its value, with
+        ``PYTHONINTMAXSTRDIGITS`` unset, ``0`` and ``640``: ``int()``'s digit limit never decides."""
+        nines, padded = "9" * 5000, "0" * 699 + "7"
+        cases = [["analyze", "--vocab-size", nines], ["analyze", "--vocab-size", padded],
+                 ["analyze", "--partitions", padded], ["analyze", "--vocab-size", str(2**63 - 1)],
+                 ["analyze", "--vocab-size", str(2**63)], ["analyze", "--partitions", "+1_0"],
+                 ["prune", "--keep", f"1,{nines}"], ["prune", "--keep", f"{padded},-0"],
+                 ["prune", "--keep", str(-2**63 - 1)], ["prune", "--keep", f" {-2**63} "]]
+        code = ("import contextlib, io, json, sys\nfrom dep.cli import build_parser\n"
+                "for command, flag, value in json.load(sys.stdin):\n"
+                "    argv = [command, '--dataset', 'd', '--out', 'o', flag, value]\n"
+                "    argv += ['--embeddings', 'e'] if command == 'prune' else []\n"
+                "    err = io.StringIO()\n"
+                "    try:\n"
+                "        with contextlib.redirect_stderr(err):\n"
+                "            args = build_parser().parse_args(argv)\n"
+                "        print(getattr(args, flag[2:].replace('-', '_')))\n"
+                "    except SystemExit as exit:\n"
+                "        print(exit.code, err.getvalue().splitlines()[-1].replace(value, 'V'))\n")
+        expected = ["2 dep analyze: error: argument --vocab-size: invalid integer value: 'V'",
+                    "7", "7", str(2**63 - 1),
+                    "2 dep analyze: error: argument --vocab-size: invalid integer value: 'V'",
+                    "10",
+                    "2 dep prune: error: argument --keep: --keep expects comma-separated integer ids",
+                    "(7, 0)",
+                    "2 dep prune: error: argument --keep: --keep expects comma-separated integer ids",
+                    f"({-2**63},)"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for limit in (None, "0", "640"):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if limit is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = limit
+            child = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases), env=env,
+                                   capture_output=True, text=True, timeout=60)
+            assert child.returncode == 0, child.stderr
+            assert child.stdout.splitlines() == expected, limit
+
     def test_keep_with_non_integer_ids_exits_2(self, workspace, capsys):
         tmp_path, _, _, dataset_path, matrix_path, _ = workspace
         with pytest.raises(SystemExit) as exit_info:

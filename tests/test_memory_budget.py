@@ -27,25 +27,29 @@ _CHUNK = 1 << 14
 
 # Peak bytes allowed, with the peak measured at the time in brackets:
 #   analyze: the ids once with the length words behind them, offsets turned in place from the
-#            length-word walk, counts, seen mask, one block's temporaries; offsets made beside
-#            the walk's positions, with 1 Mi-word chunks scaled down alike, peaked at 10.3 MiB    (8.8 MiB)
+#            length-word walk, counts, seen mask, each used id's first position, one block's
+#            temporaries; offsets made beside the walk's positions, with 1 Mi-word chunks scaled
+#            down alike, peaked at 10.3 MiB, and a bincount copy of each block with separate
+#            first-position keys at 8.8 MiB                                                       (8.7 MiB)
 #   prune:   the ids once or the kept rows, never both, with offsets, counts and the
 #            dense-id table; holding the ids and a remapped copy peaked at 16.2 MiB         (8.6 MiB)
 #   prune of a .txt dataset: the text reader reads the file in blocks twice and holds only the ids,
 #            offsets and one block's temporaries; holding the file's T = 10.8 MiB of bytes
-#            peaked at 18.8 MiB, and a per-line parse into int64 arrays at 34.7 MiB                (8.9 MiB)
-#   analyze of a .txt dataset: the same reader, which holds no more than a binary read          (8.7 MiB)
-#   analyze --checkpoints all: the ids, and per token one curve point (two int64s) with the temporaries
-#            of checking it and of the Heaps fit, about 81 bytes; a Python tuple per point took ~300   (162.8 MiB)
+#            peaked at 18.8 MiB, and a per-line parse into int64 arrays at 34.7 MiB                (8.8 MiB)
+#   analyze of a .txt dataset: the same passes over the text reader's ids and offsets, which keeps
+#            no length words; the bincount copies and separate keys peaked at 8.7 MiB              (8.5 MiB)
+#   analyze --checkpoints all: per token one curve point (two int64s) with the temporaries of checking
+#            it and of the Heaps fit, about 81 bytes, once the ids are let go; with the 4N ids still
+#            held under the fit it peaked at 162.8 MiB, and a Python tuple per point took ~300       (154.9 MiB)
 #   restore: one piece of learned rows, at most one block of values, plus the remap's ids, a few int64
 #            words per kept row while remap.json is read; reading the learned rows whole peaked at
 #            5.34 MiB, and the remap's pairs as Python objects (json.loads) at 2.66 MiB               (0.34 MiB)
 _BUDGETS = {
-    "analyze": lambda c: 4 * c.N + 16 * c.S + 24 * c.V + 0.5 * _MIB,
+    "analyze": lambda c: 4 * c.N + 16 * c.S + 17 * c.V + 0.2 * _MIB,
     "prune": lambda c: max(4 * c.N, 4 * c.R * c.d) + 16 * c.S + 24 * c.V + 0.25 * _MIB,
     "prune-text": lambda c: 4 * c.N + 16 * c.S + 24 * c.V + 0.5 * _MIB,
-    "analyze-text": lambda c: 4 * c.N + 16 * c.S + 24 * c.V + 0.5 * _MIB,
-    "analyze-all": lambda c: 4 * c.N + 84 * c.N + 32 * c.S + 32 * c.V + 1.5 * _MIB,
+    "analyze-text": lambda c: 4 * c.N + 12 * c.S + 17 * c.V + 0.2 * _MIB,
+    "analyze-all": lambda c: 81 * c.N + 32 * c.S + 32 * c.V + 1.5 * _MIB,
     "restore": lambda c: 16 * _CHUNK + 32 * c.R + 0.25 * _MIB,
 }
 
@@ -107,11 +111,12 @@ def test_peak_allocation_within_budget(corpus, monkeypatch, name):
     assert peak <= budget, f"{name} peaked at {peak / _MIB:.2f} MiB, budget {budget / _MIB:.2f} MiB"
 
 
-# Bytes one unit of a block may add to a peak: six int64 words. The most any pass holds per unit is the text
-# writer's, about 36 bytes per id of a chunk (the digit grid, each id's byte offset, the digits left to write).
-# From 16 Ki to 64 Ki units the peaks grew by 0.80 (analyze), 0.37 (prune), 1.76 (prune of a .txt),
-# 0.80 (analyze of a .txt) and 0.28 MiB (restore: its piece of learned rows and a block of remap.json's text).
-_PER_BLOCK_UNIT = 48
+# Bytes one unit of a block may add to a peak: four int64 words. The most any pass holds per unit is the text
+# writer's, about 30 bytes per id of a chunk (the digit grid, the compacted byte places, the digits left to
+# write); with each id's byte offset held through the digit loop it was about 38. From 16 Ki to 64 Ki units the
+# peaks grew by 0.46 (analyze), 0.37 (prune), 1.39 (prune of a .txt), 0.47 (analyze of a .txt) and 0.10 MiB
+# (restore: its piece of learned rows and a block of remap.json's text).
+_PER_BLOCK_UNIT = 32
 
 
 @pytest.mark.parametrize("name", ["analyze", "prune", "prune-text", "analyze-text", "restore"])

@@ -81,7 +81,7 @@ class TestMergeFrequencyTables:
 
 class TestScanMemory:
     def test_default_slice_keeps_the_peak_near_the_counts(self):
-        # bincount casts each slice to intp, so the slice size, not the corpus, sets the temporaries.
+        # ufunc.at may cast each slice to intp, so the slice size, not the corpus, sets the temporaries.
         V = 30_522
         tokens = np.random.default_rng(3).integers(0, V, size=2 << 20, dtype=np.uint32)
         dataset = TokenizedDataset.from_flat(tokens, np.array([0, tokens.size], dtype=np.int64), V)
